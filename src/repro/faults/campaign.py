@@ -25,7 +25,7 @@ from repro.faults.observability import (
     hdcu_pattern_sets,
     icu_pattern_set,
 )
-from repro.faults.ppsfp import _check_engine, fault_simulate
+from repro.faults.ppsfp import PatternSet, _check_engine, fault_simulate
 from repro.faults.transition import (
     enumerate_transition_faults,
     transition_fault_simulate,
@@ -65,10 +65,40 @@ class ModuleCoverage:
         )
 
 
+def pattern_digest(patterns: PatternSet) -> bytes:
+    """blake2b-128 content digest of a built pattern set."""
+    tables = (
+        ";".join(f"{net}:{value:x}" for net, value in sorted(table.items()))
+        for table in (patterns.inputs, patterns.output_observability)
+    )
+    payload = "|".join((str(patterns.num_patterns), *tables))
+    return blake2b(payload.encode(), digest_size=16).digest()
+
+
+def _detected(memo, key, simulate, netlist, patterns, faults, engine) -> int:
+    """Detected-fault count of one grading item, graded once per ``memo``.
+
+    ``key`` names the netlist and fault list (module, core model, port);
+    with the engine and the pattern set's content it fixes the result,
+    so a memo hit is exact.  ``memo=None`` always simulates.
+    """
+    if memo is None:
+        return simulate(netlist, patterns, faults, engine=engine).detected_faults
+    key = (*key, engine, pattern_digest(patterns))
+    if key not in memo:
+        memo[key] = simulate(netlist, patterns, faults, engine=engine).detected_faults
+    return memo[key]
+
+
 def forwarding_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
+    log: ActivationLog, model: CoreModel, *, engine: str = "compiled",
+    memo: dict | None = None,
 ) -> ModuleCoverage:
-    """Grade the forwarding-logic fault list against one run's log."""
+    """Grade the forwarding-logic fault list against one run's log.
+
+    ``memo`` (a dict, as :func:`run_checkpointed_campaign` passes one
+    per call) lets repeated identical grading items reuse their result.
+    """
     modules = get_modules(model)
     pattern_sets = forwarding_pattern_sets(log, modules)
     detected = 0
@@ -76,10 +106,10 @@ def forwarding_coverage(
         patterns = pattern_sets.get(port)
         if patterns is None or patterns.num_patterns == 0:
             continue
-        result = fault_simulate(
-            modules.forwarding[port], patterns, faults, engine=engine
+        detected += _detected(
+            memo, ("FWD", model.name, port), fault_simulate,
+            modules.forwarding[port], patterns, faults, engine,
         )
-        detected += result.detected_faults
     return ModuleCoverage(
         module="FWD",
         core_model=model.name,
@@ -89,7 +119,8 @@ def forwarding_coverage(
 
 
 def hdcu_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
+    log: ActivationLog, model: CoreModel, *, engine: str = "compiled",
+    memo: dict | None = None,
 ) -> ModuleCoverage:
     """Grade the HDCU fault list against one run's log."""
     modules = get_modules(model)
@@ -99,10 +130,10 @@ def hdcu_coverage(
         patterns = pattern_sets.get(port)
         if patterns is None or patterns.num_patterns == 0:
             continue
-        result = fault_simulate(
-            modules.hdcu[port], patterns, faults, engine=engine
+        detected += _detected(
+            memo, ("HDCU", model.name, port), fault_simulate,
+            modules.hdcu[port], patterns, faults, engine,
         )
-        detected += result.detected_faults
     return ModuleCoverage(
         module="HDCU",
         core_model=model.name,
@@ -112,17 +143,18 @@ def hdcu_coverage(
 
 
 def icu_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
+    log: ActivationLog, model: CoreModel, *, engine: str = "compiled",
+    memo: dict | None = None,
 ) -> ModuleCoverage:
     """Grade the ICU fault list against one run's log."""
     modules = get_modules(model)
     patterns = icu_pattern_set(log, modules)
-    if patterns.num_patterns == 0:
-        detected = 0
-    else:
-        detected = fault_simulate(
-            modules.icu, patterns, modules.icu_faults, engine=engine
-        ).detected_faults
+    detected = 0
+    if patterns.num_patterns:
+        detected = _detected(
+            memo, ("ICU", model.name, None), fault_simulate,
+            modules.icu, patterns, modules.icu_faults, engine,
+        )
     return ModuleCoverage(
         module="ICU",
         core_model=model.name,
@@ -132,7 +164,8 @@ def icu_coverage(
 
 
 def forwarding_transition_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
+    log: ActivationLog, model: CoreModel, *, engine: str = "compiled",
+    memo: dict | None = None,
 ) -> ModuleCoverage:
     """Grade transition-delay faults on the forwarding logic.
 
@@ -152,10 +185,10 @@ def forwarding_transition_coverage(
         patterns = pattern_sets.get(port)
         if patterns is None or patterns.num_patterns < 2:
             continue
-        result = transition_fault_simulate(
-            netlist, patterns, faults, engine=engine
+        detected += _detected(
+            memo, ("FWD-TDF", model.name, port), transition_fault_simulate,
+            netlist, patterns, faults, engine,
         )
-        detected += result.detected_faults
     return ModuleCoverage(
         module="FWD-TDF",
         core_model=model.name,
@@ -463,7 +496,9 @@ def run_checkpointed_campaign(
     records its verdict in each :class:`ScenarioOutcome`.  ``engine``
     selects the fault-simulation kernel the graders use ("compiled" by
     default, "interpreted" for the reference path — bit-identical
-    outcomes either way).
+    outcomes either way).  Within one call each distinct grading item
+    (module, core model, port, engine, pattern-set content) is fault
+    simulated once; repeats reuse its detected-fault count.
     """
     # Imported here: repro.core builds on repro.faults results in the
     # analysis layer, so the module-level direction stays faults <- core.
@@ -476,6 +511,9 @@ def run_checkpointed_campaign(
     _check_engine(engine)
     config = soc_config or DEFAULT_SOC_CONFIG
     checkpoint = CampaignCheckpoint(checkpoint_path, modules)
+    # Grading memo, local to this call (one shard): never process-wide,
+    # so a later campaign under another engine still runs that engine.
+    memo: dict = {}
     for scenario in scenarios:
         if checkpoint.done(scenario.label):
             continue
@@ -501,7 +539,7 @@ def run_checkpointed_campaign(
                     "core_id": core_id,
                     **COVERAGE_GRADERS[module](
                         result.per_core[core_id].log, models[core_id],
-                        engine=engine,
+                        engine=engine, memo=memo,
                     ).to_dict(),
                 }
                 for module in modules

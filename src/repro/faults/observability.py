@@ -10,77 +10,49 @@ entirely — the loading loop can excite faults but never detect them,
 exactly as the methodology prescribes.
 
 Identical patterns are merged (their observability masks OR together),
-which keeps the packed bigints short without changing coverage.
+which keeps the packed bigints short without changing coverage.  Each
+builder reduces a record to a small key, deduplicates the keys in
+first-occurrence order, packs every distinct row into one stimulus word
+(bit ``j`` drives ``input_nets[j]``) and transposes the words into the
+per-net pattern columns a :class:`PatternSet` stores — no per-bit
+tuples, and the transpose runs in C.
 """
 
 from __future__ import annotations
 
-from repro.cpu.core import CoreModel
-from repro.cpu.recording import ActivationLog, ForwardingRecord, HdcuRecord, IcuRecord
+from repro.cpu.recording import ActivationLog
 from repro.faults.generators import ICU_FIELD_BITS, NUM_SOURCES, PORTS, CoreModules
 from repro.faults.ppsfp import PatternSet
 from repro.isa.instructions import NUM_EVENTS
-from repro.utils.bitops import bit as get_bit
 
 
-class _Accumulator:
-    """Merges identical (stimulus, per-output-observability) patterns.
+def _columns(words: list[int], width: int) -> list[int]:
+    """Transpose ``width``-bit words into per-bit pattern columns.
 
-    With ``ordered=True`` no merging happens and the patterns keep the
-    run's temporal order — required for transition-delay grading, where
-    the launch/capture adjacency of consecutive vectors is the test.
+    Bit ``p`` of ``result[j]`` is bit ``j`` of ``words[p]``.
     """
-
-    def __init__(self, ordered: bool = False):
-        self.ordered = ordered
-        self._patterns: dict[tuple, int] = {}
-        self._sequence: list[tuple] = []
-        self._obs: list[dict] = []
-
-    def add(self, stimulus: tuple, obs: dict[int, bool]) -> None:
-        if self.ordered:
-            self._sequence.append(stimulus)
-            self._obs.append(dict(obs))
-            return
-        index = self._patterns.get(stimulus)
-        if index is None:
-            index = len(self._obs)
-            self._patterns[stimulus] = index
-            self._obs.append(dict(obs))
-        else:
-            merged = self._obs[index]
-            for net, flag in obs.items():
-                merged[net] = merged.get(net, False) or flag
-
-    def _stimuli(self):
-        if self.ordered:
-            return enumerate(self._sequence)
-        return ((index, stimulus) for stimulus, index in self._patterns.items())
-
-    def build(self, input_nets: list[int]) -> PatternSet:
-        num = len(self._obs)
-        patterns = PatternSet(num_patterns=num)
-        inputs = {net: 0 for net in input_nets}
-        for index, stimulus in self._stimuli():
-            for net, value in zip(input_nets, stimulus):
-                if value:
-                    inputs[net] |= 1 << index
-        patterns.inputs = inputs
-        obs_packed: dict[int, int] = {}
-        for index, obs in enumerate(self._obs):
-            for net, flag in obs.items():
-                if flag:
-                    obs_packed[net] = obs_packed.get(net, 0) | (1 << index)
-        patterns.output_observability = obs_packed
-        return patterns
-
-    @property
-    def empty(self) -> bool:
-        return not self._obs
+    if not words:
+        return [0] * width
+    rows = [format(word, f"0{width}b") for word in reversed(words)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(width))
+def _pattern_set(rows, width: int, input_nets: list[int], groups) -> PatternSet:
+    """Pack ``(stimulus word, observability mask)`` rows, in pattern order.
+
+    Pattern ``p`` applies bit ``j`` of its word to ``input_nets[j]``
+    (inputs past ``width`` stay 0) and is observable on every net of
+    ``groups[g]`` when bit ``g`` of its mask is set.
+    """
+    inputs = dict.fromkeys(input_nets, 0)
+    inputs.update(zip(input_nets, _columns([word for word, _ in rows], width)))
+    observability: dict[int, int] = {}
+    masks = _columns([mask for _, mask in rows], len(groups))
+    for nets, patterns in zip(groups, masks):
+        if patterns:
+            for net in nets:
+                observability[net] = observability.get(net, 0) | patterns
+    return PatternSet(len(rows), inputs, observability)
 
 
 # ----------------------------------------------------------------------
@@ -92,40 +64,50 @@ def forwarding_pattern_sets(
 ) -> dict[tuple[int, int], PatternSet]:
     """One pattern set per consumer port from the forwarding records.
 
-    ``ordered=True`` preserves temporal order without deduplication
-    (needed for transition-delay grading)."""
+    A pattern is the one-hot select followed by the five candidates,
+    each truncated to the datapath width.  The low output word is always
+    observable; core C's high word only on patterns whose 64-bit result
+    can reach the signature.  ``ordered=True`` keeps one pattern per
+    record in temporal order, without deduplication (needed for
+    transition-delay grading)."""
     width = 64 if modules.model.is64 else 32
-    accumulators = {port: _Accumulator(ordered) for port in PORTS}
+    mask = (1 << width) - 1
+    rows: dict[tuple[int, int], dict | list] = {
+        port: [] if ordered else {} for port in PORTS
+    }
     for record in log.forwarding:
         if not record.observable:
             continue
-        port = (record.slot, record.operand)
-        acc = accumulators.get(port)
-        if acc is None:
+        port_rows = rows.get((record.slot, record.operand))
+        if port_rows is None:
             continue
-        stimulus = _forwarding_stimulus(record, width)
+        key = (int(record.select), *[value & mask for value in record.candidates])
+        obs = 3 if record.width == 64 and record.observable_high else 1
+        if ordered:
+            port_rows.append((key, obs))
+        else:
+            port_rows[key] = port_rows.get(key, 0) | obs
+    result = {}
+    for port, port_rows in rows.items():
+        if not port_rows:
+            continue
         netlist = modules.forwarding[port]
         out = netlist.outputs["out"]
-        obs: dict[int, bool] = {}
-        high_ok = record.width == 64 and record.observable_high
-        for j in range(width):
-            observable = j < 32 or high_ok
-            if observable:
-                obs[out[j]] = True
-        acc.add(stimulus, obs)
-    return {
-        port: acc.build(modules.forwarding[port].input_nets)
-        for port, acc in accumulators.items()
-        if not acc.empty
-    }
-
-
-def _forwarding_stimulus(record: ForwardingRecord, width: int) -> tuple:
-    sel = tuple(1 if i == int(record.select) else 0 for i in range(NUM_SOURCES))
-    data: list[int] = []
-    for i in range(NUM_SOURCES):
-        data.extend(_bits(record.candidates[i], width))
-    return sel + tuple(data)
+        packed = []
+        for (select, *candidates), obs in (
+            port_rows if ordered else port_rows.items()
+        ):
+            word = 1 << select
+            for i, value in enumerate(candidates):
+                word |= value << (NUM_SOURCES + i * width)
+            packed.append((word, obs))
+        result[port] = _pattern_set(
+            packed,
+            NUM_SOURCES * (1 + width),
+            netlist.input_nets,
+            (out[:32], out[32:width]),
+        )
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -135,50 +117,50 @@ def _forwarding_stimulus(record: ForwardingRecord, width: int) -> tuple:
 def hdcu_pattern_sets(
     log: ActivationLog, modules: CoreModules
 ) -> dict[tuple[int, int], PatternSet]:
-    """One pattern set per consumer port from the HDCU records."""
-    accumulators = {port: _Accumulator() for port in PORTS}
+    """One pattern set per consumer port from the HDCU records.
+
+    A pattern is the 33-bit comparator word: consumer and four producer
+    register indices (5 bits each), producer valid bits and unready-load
+    flags (4 bits each)."""
+    rows: dict[tuple[int, int], dict] = {port: {} for port in PORTS}
     for record in log.hdcu:
         if not record.observable:
             continue
-        port = (record.slot, record.operand)
-        acc = accumulators.get(port)
-        if acc is None:
+        port_rows = rows.get((record.slot, record.operand))
+        if port_rows is None:
+            continue
+        p0, p1, p2, p3 = record.producer_regs
+        word = (
+            record.consumer_reg & 31
+            | (p0 & 31) << 5
+            | (p1 & 31) << 10
+            | (p2 & 31) << 15
+            | (p3 & 31) << 20
+            | (record.producer_valid & 15) << 25
+            | (record.producer_load_mask & 15) << 29
+        )
+        obs = 0
+        flips = record.flip_visible_mask
+        if not record.stall and flips:
+            # A wrong select is visible through the datapath only when
+            # the alternative source carried different data here.
+            obs = flips & ((1 << NUM_SOURCES) - 1) | 1 << record.select
+        # A wrong stall decision is visible only when the performance
+        # counters contribute to the signature (the full algorithm of [19]).
+        if record.stall_observable:
+            obs |= 1 << NUM_SOURCES
+        port_rows[word] = port_rows.get(word, 0) | obs
+    result = {}
+    for port, port_rows in rows.items():
+        if not port_rows:
             continue
         netlist = modules.hdcu[port]
-        stimulus = (
-            _bits(record.consumer_reg, 5)
-            + _bits(record.producer_regs[0], 5)
-            + _bits(record.producer_regs[1], 5)
-            + _bits(record.producer_regs[2], 5)
-            + _bits(record.producer_regs[3], 5)
-            + _bits(record.producer_valid, 4)
-            + _bits(record.producer_load_mask, 4)
+        groups = [[net] for net in netlist.outputs["sel"]]
+        groups.append(netlist.outputs["stall"][:1])
+        result[port] = _pattern_set(
+            list(port_rows.items()), 33, netlist.input_nets, groups
         )
-        obs = _hdcu_observability(record, netlist)
-        acc.add(stimulus, obs)
-    return {
-        port: acc.build(modules.hdcu[port].input_nets)
-        for port, acc in accumulators.items()
-        if not acc.empty
-    }
-
-
-def _hdcu_observability(record: HdcuRecord, netlist) -> dict[int, bool]:
-    sel_nets = netlist.outputs["sel"]
-    stall_net = netlist.outputs["stall"][0]
-    obs: dict[int, bool] = {}
-    if not record.stall:
-        # A wrong select is visible through the datapath only when the
-        # alternative source carried different data on this pattern.
-        for i in range(NUM_SOURCES):
-            if get_bit(record.flip_visible_mask, i):
-                obs[sel_nets[i]] = True
-        if record.flip_visible_mask:
-            obs[sel_nets[int(record.select)]] = True
-    # A wrong stall decision is visible only when the performance
-    # counters contribute to the signature (the full algorithm of [19]).
-    obs[stall_net] = record.stall_observable
-    return obs
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -187,24 +169,29 @@ def _hdcu_observability(record: HdcuRecord, netlist) -> dict[int, bool]:
 
 def icu_pattern_set(log: ActivationLog, modules: CoreModules) -> PatternSet:
     """Patterns from the ICU recognitions (merged ones split per event,
-    mirroring the sequential recognition of each pending source)."""
-    acc = _Accumulator()
+    mirroring the sequential recognition of each pending source).
+
+    A pattern is the one-hot event, the imprecision field and the
+    recognition count; every status, imprecision and counter output is
+    observable on every pattern."""
+    field = (1 << ICU_FIELD_BITS) - 1
+    count_shift = NUM_EVENTS + ICU_FIELD_BITS
+    rows: dict[int, int] = {}
     for record in log.icu:
         if not record.observable:
             continue
-        events = [
-            e for e in range(NUM_EVENTS) if get_bit(record.event_vector, e)
-        ]
-        for index, event in enumerate(events):
-            stimulus = (
-                tuple(1 if e == event else 0 for e in range(NUM_EVENTS))
-                + _bits(record.imprecision, ICU_FIELD_BITS)
-                + _bits(record.count_before + index, ICU_FIELD_BITS)
-            )
-            obs = {
-                net: True
-                for bus in ("status", "imp_out", "count_out")
-                for net in modules.icu.outputs[bus]
-            }
-            acc.add(stimulus, obs)
-    return acc.build(modules.icu.input_nets)
+        imprecision = (record.imprecision & field) << NUM_EVENTS
+        count = record.count_before
+        for event in range(NUM_EVENTS):
+            if record.event_vector >> event & 1:
+                rows[1 << event | imprecision | (count & field) << count_shift] = 1
+                count += 1
+    outputs = [
+        net
+        for bus in ("status", "imp_out", "count_out")
+        for net in modules.icu.outputs[bus]
+    ]
+    return _pattern_set(
+        list(rows.items()), count_shift + ICU_FIELD_BITS, modules.icu.input_nets,
+        [outputs],
+    )

@@ -125,9 +125,10 @@ def _run_faultsim(argv: list[str]) -> int:
     like the Table II/III experiments, but sharded over a process pool
     (``--workers``) with per-shard checkpoints, so the full campaign
     runs at host speed and a killed run resumes where it left off.
-    ``--workers 1`` is the exact serial path; any worker/shard geometry
-    produces bit-identical coverage (the differential test suite's
-    invariant).
+    ``--workers 1`` runs every shard in this process; any worker/shard
+    geometry produces bit-identical coverage (the differential test
+    suite's invariant).  Without retry flags the run is fail-fast: the
+    first failing shard's exception ends it.
     """
     # Function-level imports: the table experiments don't need any of
     # the campaign machinery (and vice versa).
@@ -136,10 +137,11 @@ def _run_faultsim(argv: list[str]) -> int:
 
     from repro.core.determinism import default_scenarios
     from repro.faults.campaign import COVERAGE_GRADERS, ModuleCoverage, coverage_range
-    from repro.faults.parallel import (
-        resolve_workers,
+    from repro.faults.orchestrator import (
+        RetryPolicy,
         run_parallel_checkpointed_campaign,
     )
+    from repro.faults.parallel import resolve_workers
     from repro.faults.ppsfp import ENGINES
     from repro.faults.workload import (
         DEFAULT_CAMPAIGN_MODELS,
@@ -162,7 +164,7 @@ def _run_faultsim(argv: list[str]) -> int:
         type=int,
         default=1,
         help=(
-            "process-pool size (1 = exact serial path, the default); "
+            "process-pool size (1 = every shard in-process, the default); "
             "requests beyond the host's CPU count are clamped"
         ),
     )
@@ -266,8 +268,6 @@ def _run_faultsim(argv: list[str]) -> int:
     )
     policy = None
     if supervised:
-        from repro.faults.orchestrator import RetryPolicy
-
         policy = RetryPolicy(
             max_retries=2 if args.max_retries is None else args.max_retries,
             shard_timeout=args.shard_timeout,
@@ -288,9 +288,9 @@ def _run_faultsim(argv: list[str]) -> int:
             policy=policy,
         )
     elapsed = time.time() - start
-    report = getattr(result, "report", None)
-    quarantined_shards = list(getattr(result, "quarantined_shards", ()))
-    quarantined_labels = list(getattr(result, "quarantined_labels", ()))
+    report = result.report
+    quarantined_shards = list(result.quarantined_shards)
+    quarantined_labels = list(result.quarantined_labels)
     failed = sorted(
         label for label, o in result.outcomes.items() if o.failed
     )
@@ -358,15 +358,13 @@ def _run_faultsim(argv: list[str]) -> int:
         )
     if failed:
         print(f"\nquarantined scenarios: {', '.join(failed)}")
-    if report is not None:
-        retried = report.retried_shards
-        print(
-            f"\norchestrator: {len(report.attempts)} shard attempt(s), "
-            f"{len(retried)} shard(s) retried, "
-            f"{report.pool_rebuilds} pool rebuild(s), "
-            f"{report.stragglers} straggler(s)"
-            + (" [degraded to serial]" if report.degraded_serial else "")
-        )
+    print(
+        f"\norchestrator: {len(report.attempts)} shard attempt(s), "
+        f"{len(report.retried_shards)} shard(s) retried, "
+        f"{report.pool_rebuilds} pool rebuild(s), "
+        f"{report.stragglers} straggler(s)"
+        + (" [degraded to serial]" if report.degraded_serial else "")
+    )
     if quarantined_shards:
         print(
             f"quarantined shards: {quarantined_shards} covering "
@@ -393,11 +391,10 @@ def _run_faultsim(argv: list[str]) -> int:
             "elapsed_seconds": elapsed,
             "failed": failed,
             "coverage_ranges": summary,
+            "orchestration": report.to_dict(),
+            "quarantined_shards": quarantined_shards,
+            "quarantined_scenarios": quarantined_labels,
         }
-        if report is not None:
-            payload["orchestration"] = report.to_dict()
-            payload["quarantined_shards"] = quarantined_shards
-            payload["quarantined_scenarios"] = quarantined_labels
         with open(args.json_out, "w") as handle:
             json_module.dump(payload, handle, indent=2)
             handle.write("\n")

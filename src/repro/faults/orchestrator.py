@@ -1,13 +1,23 @@
-"""Supervised, fault-tolerant orchestration of sharded fault campaigns.
+"""The one shard driver: every sharded run, fail-fast or supervised.
 
 PR 1 gave the *simulated SoC* a supervised test manager: retry a failed
 routine, quarantine a persistent failure, report instead of aborting.
 This module applies the identical discipline one layer up, to the
 campaign infrastructure itself — because on a real shared machine the
 process pool is exactly as failure-prone as the silicon the paper
-worries about.  The orchestrator wraps the sharded engines of
-:mod:`repro.faults.parallel` with:
+worries about.  Every sharded entry point —
+:func:`parallel_fault_simulate`, :func:`parallel_transition_fault_simulate`,
+:func:`run_parallel_checkpointed_campaign` and the ``orchestrated_*``
+graders — runs the work units of :mod:`repro.faults.parallel` through
+one scheduler, :func:`_supervise`, under a :class:`RetryPolicy`:
 
+* **Fail-fast by default.**  Without an explicit policy a run uses
+  :data:`FAIL_FAST` (no retries, no partial results): the first failing
+  shard stops the run, queued work is cancelled, the pool is torn down
+  and the shard's own exception — a builder's ``RuntimeError``, a dead
+  worker's ``BrokenProcessPool`` — is re-raised unchanged.  With one
+  worker and no retry budget no pool is built at all: shards run
+  in-process, in index order.
 * **Bounded, deterministic retry.**  A failed shard is re-dispatched up
   to ``max_retries`` times behind an exponential-backoff delay whose
   jitter is *seeded* (blake2b of ``(seed, shard, failure)``) — the
@@ -31,17 +41,19 @@ worries about.  The orchestrator wraps the sharded engines of
   finishes the remaining shards serially in-process (where chaos-style
   process failures downgrade to ordinary exceptions) rather than
   flailing.
-* **Quarantine, not abort.**  A shard that exhausts its budget is
-  quarantined; the campaign completes and returns a
+* **Quarantine, not abort.**  With retries, a shard that exhausts its
+  budget is quarantined; the campaign completes and returns a
   :class:`PartialCampaignResult` that *enumerates* the loss — coverage
   becomes an explicit lower bound — or raises
   :class:`~repro.errors.OrchestrationError` when the caller did not opt
   into partial completion.
 
-Every decision emits a typed telemetry event (``shard.retry``,
-``shard.straggler``, ``shard.quarantine``, ``pool.rebuild``) through the
-:class:`~repro.telemetry.events.EventSink` contract, and a structured
-:class:`OrchestrationReport` lands next to the checkpoint manifest.
+A clean run joins its workers when it ends; only a failure, a straggler
+or a rebuild terminates them.  Every decision emits a typed telemetry
+event (``shard.retry``, ``shard.straggler``, ``shard.quarantine``,
+``pool.rebuild``) through the :class:`~repro.telemetry.events.EventSink`
+contract, and every campaign writes a structured
+:class:`OrchestrationReport` next to its checkpoint manifest.
 
 The headline invariant, enforced by the chaos suite
 (``tests/test_orchestrator_chaos.py`` with
@@ -53,6 +65,7 @@ retries, rebuilds and straggler kills are invisible in the numbers.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -68,19 +81,22 @@ from repro.faults.parallel import (
     ShardTiming,
     _campaign_shard_worker,
     _merge_campaign_outcomes,
-    _pool_context,
     _prepare_campaign,
-    _record_shard_metrics,
-    _shard_spec,
     _simulate_shard,
     check_partition,
     reduce_results,
     shard_faults,
 )
-from repro.faults.ppsfp import DropSet, FaultSimResult
+from repro.faults.ppsfp import DropSet, FaultSimResult, PatternSet, fault_simulate
+from repro.faults.stuckat import collapse_with_weights
+from repro.faults.transition import (
+    enumerate_transition_faults,
+    transition_fault_simulate,
+)
 from repro.telemetry.events import NULL_SINK, EventKind
 
 __all__ = [
+    "FAIL_FAST",
     "ORCHESTRATION_REPORT_NAME",
     "OrchestratedSimResult",
     "OrchestrationReport",
@@ -89,7 +105,9 @@ __all__ = [
     "ShardAttempt",
     "orchestrated_fault_simulate",
     "orchestrated_transition_fault_simulate",
-    "run_supervised_campaign",
+    "parallel_fault_simulate",
+    "parallel_transition_fault_simulate",
+    "run_parallel_checkpointed_campaign",
 ]
 
 #: Report filename, written next to the campaign's ``manifest.json``.
@@ -116,7 +134,9 @@ class RetryPolicy:
     resurrection before degrading to in-process serial execution;
     ``allow_partial`` turns quarantine from an
     :class:`~repro.errors.OrchestrationError` into an explicit
-    :class:`PartialCampaignResult`.
+    :class:`PartialCampaignResult`.  A policy with neither retries nor
+    partial results is :attr:`fail_fast`: there is nothing to quarantine
+    for, so the first failure is re-raised as it is.
     """
 
     max_retries: int = 2
@@ -138,6 +158,11 @@ class RetryPolicy:
             raise FaultModelError(
                 f"shard_timeout must be positive, got {self.shard_timeout}"
             )
+
+    @property
+    def fail_fast(self) -> bool:
+        """True when the first shard failure must abort the run."""
+        return self.max_retries == 0 and not self.allow_partial
 
     def backoff_delay(self, shard_index: int, failure: int) -> float:
         """Deterministic delay before re-running after failure ``failure``."""
@@ -169,6 +194,11 @@ class RetryPolicy:
             "max_pool_rebuilds": self.max_pool_rebuilds,
             "allow_partial": self.allow_partial,
         }
+
+
+#: The policy of every run that names none: no retries, no backoff, no
+#: partial results — the first failing shard's exception ends the run.
+FAIL_FAST = RetryPolicy(max_retries=0, backoff_base=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +350,7 @@ class OrchestratedSimResult:
 
 
 # ----------------------------------------------------------------------
-# The supervised scheduler itself.
+# The shard scheduler itself.
 # ----------------------------------------------------------------------
 
 class _ShardState:
@@ -337,6 +367,14 @@ class _ShardState:
         self.suspect = False
 
 
+def _pool_context():
+    """Prefer fork (cheap, inherits loaded modules) where available."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX hosts
+        return multiprocessing.get_context()
+
+
 def _supervise(
     indices,
     submit,
@@ -350,11 +388,18 @@ def _supervise(
     """Run every shard in ``indices`` to done-or-quarantined.
 
     ``submit(pool, index, attempt)`` dispatches one shard attempt into
-    the pool; ``run_inline(index, attempt)`` is the in-process fallback
-    for degraded mode; ``on_complete(index, raw)`` receives each shard's
-    raw worker return exactly once.  The caller merges results in shard
-    order afterwards, so completion order — the one thing chaos *does*
-    perturb — never reaches a result.
+    the pool; ``run_inline(index, attempt)`` runs one in this process;
+    ``on_complete(index, raw)`` receives each shard's raw worker return
+    exactly once.  The caller merges results in shard order afterwards,
+    so completion order — the one thing chaos *does* perturb — never
+    reaches a result.
+
+    A pool is built only when it can help: with more than one worker,
+    or when the policy's retry budget can outlive a worker death.
+    Otherwise every shard runs in-process, in index order.  Under a
+    :attr:`RetryPolicy.fail_fast` policy the first failure propagates as
+    the shard's own exception.  A clean run joins its workers; any
+    exception out of here terminates them.
     """
     states = {index: _ShardState(index) for index in indices}
     if not states:
@@ -365,7 +410,8 @@ def _supervise(
     in_flight: dict = {}
     #: Future -> monotonic() when first observed running (deadline base).
     running_since: dict = {}
-    degraded = False
+    #: Run shards in this process: the serial geometry or the endgame.
+    inline = workers == 1 and policy.max_retries == 0
 
     def incomplete():
         return [
@@ -402,7 +448,7 @@ def _supervise(
         pool = None
 
     def rebuild_pool(reason: str):
-        nonlocal degraded
+        nonlocal inline
         kill_pool()
         report.pool_rebuilds += 1
         if sink.enabled:
@@ -412,7 +458,7 @@ def _supervise(
                 rebuilds=report.pool_rebuilds,
             )
         if report.pool_rebuilds > policy.max_pool_rebuilds:
-            degraded = True
+            inline = True
             report.degraded_serial = True
         else:
             new_pool()
@@ -431,35 +477,15 @@ def _supervise(
         state.suspect = False
         on_complete(state.index, raw)
 
-    def record_failure(state, status, error, seconds, in_process=False):
+    def record_failure(state, status, exc, seconds, in_process=False):
         state.failures += 1
         failure = state.failures
+        error = f"{type(exc).__name__}: {exc}"
         report.backoff.setdefault(
             state.index, policy.backoff_schedule(state.index)
         )
-        if failure > policy.max_retries:
-            state.quarantined = True
-            report.attempts.append(
-                ShardAttempt(
-                    shard=state.index,
-                    attempt=failure,
-                    status=status,
-                    error=error,
-                    seconds=seconds,
-                    in_process=in_process,
-                )
-            )
-            report.quarantined.append(state.index)
-            if sink.enabled:
-                sink.emit(
-                    EventKind.SHARD_QUARANTINE,
-                    shard=state.index,
-                    attempts=failure,
-                    error=error,
-                )
-            return
-        delay = policy.backoff_delay(state.index, failure)
-        state.ready_at = time.monotonic() + delay
+        exhausted = failure > policy.max_retries
+        delay = 0.0 if exhausted else policy.backoff_delay(state.index, failure)
         report.attempts.append(
             ShardAttempt(
                 shard=state.index,
@@ -471,6 +497,20 @@ def _supervise(
                 in_process=in_process,
             )
         )
+        if policy.fail_fast:
+            raise exc
+        if exhausted:
+            state.quarantined = True
+            report.quarantined.append(state.index)
+            if sink.enabled:
+                sink.emit(
+                    EventKind.SHARD_QUARANTINE,
+                    shard=state.index,
+                    attempts=failure,
+                    error=error,
+                )
+            return
+        state.ready_at = time.monotonic() + delay
         if sink.enabled:
             sink.emit(
                 EventKind.SHARD_RETRY,
@@ -485,6 +525,8 @@ def _supervise(
         try:
             future = submit(pool, state.index, attempt)
         except Exception:
+            if policy.fail_fast:
+                raise
             # The pool died between our last look and this submit; the
             # guilty party is someone already in flight, not this shard.
             for flying_state, _, _, _ in in_flight.values():
@@ -497,11 +539,11 @@ def _supervise(
         in_flight[future] = (state, attempt, time.monotonic(), isolated)
         return True
 
-    def run_degraded():
-        # In-process serial endgame: no pool to break, no deadline to
-        # enforce (a blocking call cannot be preempted from within);
-        # retry/backoff/quarantine semantics are unchanged and chaos
-        # downgrades process misbehaviour to raised exceptions.
+    def run_in_process():
+        # In-process serial execution, in index order: no pool to break,
+        # no deadline to enforce (a blocking call cannot be preempted
+        # from within); retry/backoff/quarantine semantics are unchanged
+        # and chaos downgrades process misbehaviour to raised exceptions.
         for state in sorted(incomplete(), key=lambda s: s.index):
             while not state.done and not state.quarantined:
                 delay = state.ready_at - time.monotonic()
@@ -513,10 +555,7 @@ def _supervise(
                     raw = run_inline(state.index, attempt)
                 except Exception as exc:
                     record_failure(
-                        state,
-                        "error",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - start,
+                        state, "error", exc, time.perf_counter() - start,
                         in_process=True,
                     )
                 else:
@@ -525,14 +564,15 @@ def _supervise(
                         in_process=True,
                     )
 
-    new_pool()
+    if not inline:
+        new_pool()
     try:
         while True:
             remaining = incomplete()
             if not remaining:
                 break
-            if degraded:
-                run_degraded()
+            if inline:
+                run_in_process()
                 break
             now = time.monotonic()
             flying = {state.index for state, _, _, _ in in_flight.values()}
@@ -595,14 +635,10 @@ def _supervise(
                 try:
                     raw = future.result()
                 except BrokenProcessPool as exc:
-                    if isolated:
-                        # Alone in the pool: the break is this shard's.
-                        record_failure(
-                            state,
-                            "pool-broken",
-                            f"{type(exc).__name__}: {exc}" or "pool broke",
-                            seconds,
-                        )
+                    if isolated or policy.fail_fast:
+                        # Alone in the pool, or no budget to find the
+                        # culprit with: the break is this shard's.
+                        record_failure(state, "pool-broken", exc, seconds)
                         rebuild_pool("isolated-break")
                     else:
                         state.suspect = True
@@ -611,12 +647,7 @@ def _supervise(
                     # Ordinary failure: the pool survived, so the blame
                     # is precise and the shard is no longer a suspect
                     # for *pool* crimes — but it burned an attempt.
-                    record_failure(
-                        state,
-                        "error",
-                        f"{type(exc).__name__}: {exc}",
-                        seconds,
-                    )
+                    record_failure(state, "error", exc, seconds)
                 else:
                     record_success(state, attempt, seconds, raw)
             if broken:
@@ -643,7 +674,6 @@ def _supervise(
                 ]
                 if overdue:
                     report.stragglers += len(overdue)
-                    overdue_states = {state.index for _, state in overdue}
                     for future, state in overdue:
                         if sink.enabled:
                             sink.emit(
@@ -655,7 +685,10 @@ def _supervise(
                         record_failure(
                             state,
                             "timeout",
-                            f"exceeded {policy.shard_timeout}s shard deadline",
+                            TimeoutError(
+                                f"exceeded {policy.shard_timeout}s "
+                                "shard deadline"
+                            ),
                             now - running_since[future],
                         )
                     # The only way to stop a running future is to kill
@@ -664,9 +697,28 @@ def _supervise(
                     in_flight.clear()
                     running_since.clear()
                     rebuild_pool("straggler")
-    finally:
+    except BaseException:
         kill_pool()
+        raise
+    if pool is not None:
+        # A clean run lets its workers drain and reaps them.
+        pool.shutdown(wait=True)
     report.quarantined.sort()
+
+
+def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> None:
+    if metrics is None:
+        return
+    for timing in timings:
+        metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
+        metrics.record_host(
+            f"{prefix}.shard{timing.index}.us", int(timing.seconds * 1e6)
+        )
+    metrics.record_host(f"{prefix}.shards", len(timings))
+    metrics.record_host(f"{prefix}.items", sum(t.items for t in timings))
+    metrics.record_host(
+        f"{prefix}.us", int(sum(t.seconds for t in timings) * 1e6)
+    )
 
 
 def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
@@ -688,7 +740,7 @@ def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# Supervised sharded fault simulation (stuck-at / transition models).
+# Sharded fault simulation (stuck-at / transition models).
 # ----------------------------------------------------------------------
 
 def _weighted_count(shard) -> int:
@@ -696,6 +748,15 @@ def _weighted_count(shard) -> int:
     return sum(
         item[1] if isinstance(item, tuple) else 1 for item in shard
     )
+
+
+def _fault_list(kind: str, netlist, faults) -> list:
+    """The caller's fault list, or the model's full default one."""
+    if faults is not None:
+        return list(faults)
+    if kind == "stuckat":
+        return collapse_with_weights(netlist)
+    return enumerate_transition_faults(netlist)
 
 
 def _orchestrated_simulate(
@@ -712,7 +773,9 @@ def _orchestrated_simulate(
     engine: str,
     dropped: DropSet | None,
 ) -> OrchestratedSimResult:
-    shards = shard_faults(faults, num_shards or max(1, workers))
+    if workers < 1:
+        raise FaultModelError(f"workers must be >= 1, got {workers}")
+    shards = shard_faults(faults, num_shards or workers)
     check_partition(faults, shards)
     dropped_ids = dropped.sorted_ids() if dropped is not None else None
     report = OrchestrationReport(
@@ -790,6 +853,73 @@ def _orchestrated_simulate(
     )
 
 
+def _sharded_simulate(
+    kind, serial, netlist, patterns, faults, workers, num_shards, metrics,
+    engine, dropped,
+) -> FaultSimResult:
+    faults = _fault_list(kind, netlist, faults)
+    if workers == 1 and num_shards is None:
+        # The exact serial path: same function, same iteration order.
+        return serial(netlist, patterns, faults, engine=engine, dropped=dropped)
+    return _orchestrated_simulate(
+        kind, netlist, patterns, faults, workers, num_shards, FAIL_FAST,
+        None, None, metrics, engine, dropped,
+    ).result
+
+
+def parallel_fault_simulate(
+    netlist,
+    patterns: PatternSet,
+    faults=None,
+    *,
+    workers: int = 1,
+    num_shards: int | None = None,
+    metrics=None,
+    engine: str = "compiled",
+    dropped: DropSet | None = None,
+) -> FaultSimResult:
+    """Sharded :func:`repro.faults.ppsfp.fault_simulate`.
+
+    Accepts plain or weighted fault lists exactly like the serial
+    engine.  ``workers=1`` with the default shard count IS the serial
+    engine; any other geometry shards the list deterministically, runs
+    the shards fail-fast (over a process pool when ``workers > 1``) and
+    merges with :func:`~repro.faults.parallel.reduce_results` — the
+    totals are bit-identical either way.  ``metrics`` (a
+    :class:`repro.telemetry.MetricsCollector`) receives per-shard
+    timing/throughput host counters when given.  ``engine`` and
+    ``dropped`` pass through to the serial grader in every shard; new
+    drop-set detections are merged back after the last shard completes.
+    """
+    return _sharded_simulate(
+        "stuckat", fault_simulate, netlist, patterns, faults, workers,
+        num_shards, metrics, engine, dropped,
+    )
+
+
+def parallel_transition_fault_simulate(
+    netlist,
+    patterns: PatternSet,
+    faults=None,
+    *,
+    workers: int = 1,
+    num_shards: int | None = None,
+    metrics=None,
+    engine: str = "compiled",
+    dropped: DropSet | None = None,
+) -> FaultSimResult:
+    """Sharded :func:`repro.faults.transition.transition_fault_simulate`.
+
+    The pattern set must be *ordered* (see the serial engine); sharding
+    happens over faults, never over patterns, so launch/capture
+    adjacency is preserved inside every shard.
+    """
+    return _sharded_simulate(
+        "transition", transition_fault_simulate, netlist, patterns, faults,
+        workers, num_shards, metrics, engine, dropped,
+    )
+
+
 def orchestrated_fault_simulate(
     netlist,
     patterns,
@@ -804,20 +934,19 @@ def orchestrated_fault_simulate(
     engine: str = "compiled",
     dropped: DropSet | None = None,
 ) -> OrchestratedSimResult:
-    """Supervised :func:`repro.faults.parallel.parallel_fault_simulate`.
+    """Supervised :func:`parallel_fault_simulate`.
 
     Same sharding, same merge, same bit-identical totals — plus the
     retry/rebuild/straggler/quarantine supervision documented on this
-    module.  ``workers=1`` still runs through a (single-worker) pool so
-    a crashing shard is recoverable rather than fatal.
+    module under ``policy`` (default: a retrying :class:`RetryPolicy`).
+    With a retry budget, ``workers=1`` still runs through a
+    (single-worker) pool so a crashing shard is recoverable rather than
+    fatal.
     """
-    from repro.faults.stuckat import collapse_with_weights
-
-    if faults is None:
-        faults = collapse_with_weights(netlist)
     return _orchestrated_simulate(
-        "stuckat", netlist, patterns, list(faults), workers, num_shards,
-        policy or RetryPolicy(), chaos, telemetry, metrics, engine, dropped,
+        "stuckat", netlist, patterns, _fault_list("stuckat", netlist, faults),
+        workers, num_shards, policy or RetryPolicy(), chaos, telemetry,
+        metrics, engine, dropped,
     )
 
 
@@ -836,21 +965,18 @@ def orchestrated_transition_fault_simulate(
     dropped: DropSet | None = None,
 ) -> OrchestratedSimResult:
     """Supervised transition-delay variant (ordered pattern sets)."""
-    from repro.faults.transition import enumerate_transition_faults
-
-    if faults is None:
-        faults = enumerate_transition_faults(netlist)
     return _orchestrated_simulate(
-        "transition", netlist, patterns, list(faults), workers, num_shards,
+        "transition", netlist, patterns,
+        _fault_list("transition", netlist, faults), workers, num_shards,
         policy or RetryPolicy(), chaos, telemetry, metrics, engine, dropped,
     )
 
 
 # ----------------------------------------------------------------------
-# Supervised checkpointed campaigns.
+# Checkpointed campaigns.
 # ----------------------------------------------------------------------
 
-def run_supervised_campaign(
+def run_parallel_checkpointed_campaign(
     builders_provider,
     scenarios,
     models,
@@ -869,28 +995,49 @@ def run_supervised_campaign(
     chaos=None,
     telemetry=None,
 ) -> PartialCampaignResult:
-    """Supervised :func:`repro.faults.parallel.run_parallel_checkpointed_campaign`.
+    """Sharded, checkpointed :func:`~repro.faults.campaign.run_checkpointed_campaign`.
 
-    Rides the same manifest/per-shard-checkpoint machinery (and the same
-    resume semantics, any worker count), but every shard runs under the
-    :class:`RetryPolicy` budget: failures retry with deterministic
-    backoff, a broken pool is rebuilt with isolation-mode blame
-    attribution, a hung shard is re-dispatched after ``shard_timeout``,
-    and persistent failure quarantines the shard.  Because shard
-    checkpoints commit scenario-by-scenario, a retried shard resumes
-    mid-shard and never re-grades (or double-counts) a recorded
-    scenario — which is why a chaos run merges bit-identically to a
-    clean one.
+    ``builders_provider`` is a zero-argument *picklable* callable (a
+    module-level function or :func:`functools.partial` of one) returning
+    the core-id -> program-builder dict; it is invoked inside each shard
+    so closures never cross the process boundary.  Scenarios are
+    partitioned into ``num_shards`` deterministic shards (stable hash
+    of the scenario label; default ``min(len(scenarios), 4 * workers)``)
+    and each shard runs the ordinary serial supervised campaign against
+    its own checkpoint file under ``checkpoint_dir``.
 
+    The shard layout is pinned in ``manifest.json`` on first run;
+    resuming re-validates the manifest (modules, scenario set), loads
+    every shard checkpoint, and re-schedules **only incomplete
+    shards** — with any worker count, which is why a campaign started
+    with N workers can be finished with M.  Scenario outcomes are
+    deterministic per scenario (fresh SoC, no cross-scenario state), so
+    the merged result is bit-identical for every (workers, num_shards)
+    geometry and every policy that ends with nothing quarantined.
+
+    ``policy`` defaults to :data:`FAIL_FAST`: the first failing shard
+    ends the run with its own exception, and with ``workers=1`` shards
+    run in-process.  A retrying :class:`RetryPolicy` adds the
+    supervision documented on this module; because shard checkpoints
+    commit scenario-by-scenario, a retried shard resumes mid-shard and
+    never re-grades (or double-counts) a recorded scenario.  With
+    quarantined shards the function raises
+    :class:`~repro.errors.OrchestrationError` unless
+    ``policy.allow_partial``; with it, the returned
+    :class:`PartialCampaignResult` enumerates the loss.
+
+    ``on_shard(index, outcomes)`` fires in the parent as each shard
+    completes (kill-injection hook); ``metrics`` receives per-shard
+    timing/throughput and orchestrator host counters.  ``engine``
+    selects the fault-simulation kernel inside every shard (results are
+    bit-identical across engines, so resuming with a different engine
+    is legal).  ``chaos`` injects deterministic failures (tests) and
+    ``telemetry`` receives ``shard.retry``/``pool.rebuild``/... events.
     The :class:`OrchestrationReport` is written to
-    ``<checkpoint_dir>/orchestration_report.json`` in every case,
-    including the failure path.  With quarantined shards the function
-    raises :class:`~repro.errors.OrchestrationError` unless
-    ``policy.allow_partial``; with ``allow_partial`` it returns a
-    :class:`PartialCampaignResult` whose quarantine roster makes the
-    campaign's loss explicit.
+    ``<checkpoint_dir>/orchestration_report.json`` for every run, the
+    failing ones included.
     """
-    policy = policy or RetryPolicy()
+    policy = policy or FAIL_FAST
     scenarios = tuple(scenarios)
     directory, plan, labels, shard_scenarios, completed, scheduled = (
         _prepare_campaign(scenarios, modules, checkpoint_dir, workers, num_shards)
@@ -901,15 +1048,22 @@ def run_supervised_campaign(
     timings: list[ShardTiming] = []
 
     def spec_for(index: int, attempt: int, in_process: bool) -> dict:
-        spec = _shard_spec(
-            index, directory, plan, builders_provider, shard_scenarios,
-            models, modules, max_cycles, retries, audit, engine,
-        )
-        spec["attempt"] = attempt
-        spec["in_process"] = in_process
-        if chaos is not None:
-            spec["chaos"] = chaos
-        return spec
+        """The picklable work order for one shard attempt."""
+        return {
+            "index": index,
+            "provider": builders_provider,
+            "scenarios": shard_scenarios[index],
+            "models": models,
+            "checkpoint_path": str(directory / plan.checkpoint_name(index)),
+            "modules": tuple(modules),
+            "max_cycles": max_cycles,
+            "retries": retries,
+            "audit": audit,
+            "engine": engine,
+            "chaos": chaos,
+            "attempt": attempt,
+            "in_process": in_process,
+        }
 
     def submit(pool, index, attempt):
         return pool.submit(
@@ -935,10 +1089,13 @@ def run_supervised_campaign(
         if on_shard is not None:
             on_shard(index, completed[index])
 
-    _supervise(
-        scheduled, submit, run_inline, workers, policy, telemetry,
-        report, on_complete,
-    )
+    try:
+        _supervise(
+            scheduled, submit, run_inline, workers, policy, telemetry,
+            report, on_complete,
+        )
+    finally:
+        report.save(directory / ORCHESTRATION_REPORT_NAME)
 
     quarantined_shards = tuple(report.quarantined)
     quarantined_labels = tuple(
@@ -952,7 +1109,6 @@ def run_supervised_campaign(
     if metrics is not None:
         metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
         metrics.record_host("faultsim.campaign.workers", workers)
-    report.save(directory / ORCHESTRATION_REPORT_NAME)
     if quarantined_shards and not policy.allow_partial:
         raise OrchestrationError(
             f"campaign quarantined shard(s) {list(quarantined_shards)} "
@@ -960,6 +1116,8 @@ def run_supervised_campaign(
             f"{directory / ORCHESTRATION_REPORT_NAME} "
             "(pass allow_partial=True to accept a partial campaign)"
         )
+    # Present outcomes in the caller's scenario order, like the serial
+    # campaign's insertion-ordered checkpoint dict.
     ordered = _merge_campaign_outcomes(
         labels, completed, missing_ok=quarantined_labels
     )

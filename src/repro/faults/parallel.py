@@ -1,12 +1,12 @@
-"""Sharded, multi-process fault simulation with deterministic merging.
+"""Deterministic sharding primitives for fault simulation and campaigns.
 
 The serial graders in :mod:`repro.faults.ppsfp` /
 :mod:`repro.faults.transition` simulate one fault at a time against a
 fixed pattern set, and :func:`repro.faults.campaign.run_checkpointed_campaign`
 runs one scenario at a time — both embarrassingly parallel, and both on
-the critical path of every Table II/III reproduction.  This module
-fans the work out over a process pool without changing a single
-reported number:
+the critical path of every Table II/III reproduction.  This module holds
+everything about splitting that work that must not depend on how it is
+executed:
 
 * **Deterministic sharding.**  Faults are assigned to shards by a
   *stable* hash of their identity (:func:`stable_shard_index`, CRC-32 of
@@ -23,13 +23,18 @@ reported number:
   each fault is independent under single-fault assumption, so per-shard
   ``detected``/``total`` counts add exactly, and the reducer verifies
   that a left fold and a balanced tree fold agree before trusting the
-  sum.  ``workers=1`` bypasses the pool entirely and is the exact
-  serial code path.
+  sum.
+* **Shard work units.**  :func:`_simulate_shard` grades one fault shard
+  and :func:`_campaign_shard_worker` runs one scenario shard; both are
+  picklable process-pool entry points that run equally well in-process.
 
-The campaign variant writes one :class:`~repro.faults.campaign.CampaignCheckpoint`
-per shard plus a manifest pinning the shard layout, so a killed
+The campaign layout is pinned by a manifest and every scenario shard
+owns one :class:`~repro.faults.campaign.CampaignCheckpoint`, so a killed
 campaign resumes by re-scheduling only incomplete shards — with any
-worker count, not just the one it started with.
+worker count, not just the one it started with.  The one scheduler that
+executes shards (in-process or over a process pool, fail-fast or
+supervised) and the public entry points built on it live in
+:mod:`repro.faults.orchestrator`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import json
 import os
 import time
 import zlib
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
@@ -63,12 +67,9 @@ __all__ = [
     "ParallelCampaignResult",
     "ShardTiming",
     "check_partition",
-    "parallel_fault_simulate",
-    "parallel_transition_fault_simulate",
     "plan_campaign_shards",
     "reduce_results",
     "resolve_workers",
-    "run_parallel_checkpointed_campaign",
     "shard_faults",
     "shard_seed",
     "stable_shard_index",
@@ -215,7 +216,7 @@ def _tree_reduce(results: list[FaultSimResult]) -> FaultSimResult:
 
 
 # ----------------------------------------------------------------------
-# Parallel fault simulation (stuck-at / PPSFP and transition models).
+# Fault-simulation shards (stuck-at / PPSFP and transition models).
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -239,12 +240,12 @@ def _simulate_shard(
     netlist: Netlist,
     patterns: PatternSet,
     shard: list,
-    engine: str = "compiled",
-    dropped_ids: list[str] | None = None,
-    chaos=None,
-    shard_index: int = 0,
-    attempt: int = 1,
-    in_process: bool = False,
+    engine: str,
+    dropped_ids: list[str] | None,
+    chaos,
+    shard_index: int,
+    attempt: int,
+    in_process: bool,
 ):
     """Process-pool entry point: grade one fault shard serially.
 
@@ -255,12 +256,12 @@ def _simulate_shard(
     on, a fault's drop state never crosses shards — any geometry drops
     exactly like the serial path.
 
-    ``chaos``/``shard_index``/``attempt`` belong to the supervised
-    orchestrator: the :class:`~repro.faults.chaos.ChaosPolicy` fires a
-    deterministic injected failure at shard entry when its directive
-    matches this (shard, attempt) pair, and ``in_process`` downgrades
-    process-level misbehaviour when the orchestrator has degraded to
-    serial execution.
+    ``chaos``/``shard_index``/``attempt`` come from the shard driver in
+    :mod:`repro.faults.orchestrator`: the
+    :class:`~repro.faults.chaos.ChaosPolicy` fires a deterministic
+    injected failure at shard entry when its directive matches this
+    (shard, attempt) pair, and ``in_process`` downgrades process-level
+    misbehaviour when the scheduler runs the shard in the calling process.
     """
     if chaos is not None:
         chaos.fire(shard_index, attempt, in_process=in_process)
@@ -284,156 +285,8 @@ def _simulate_shard(
     return result.to_dict(), time.perf_counter() - start, new_ids
 
 
-def _parallel_simulate(
-    kind: str,
-    serial,
-    netlist: Netlist,
-    patterns: PatternSet,
-    faults: list,
-    workers: int,
-    num_shards: int | None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    if workers < 1:
-        raise FaultModelError(f"workers must be >= 1, got {workers}")
-    if workers == 1 and num_shards is None:
-        # The exact serial path: same function, same iteration order.
-        return serial(netlist, patterns, faults, engine=engine, dropped=dropped)
-    shards = shard_faults(faults, num_shards or workers)
-    check_partition(faults, shards)
-    dropped_ids = dropped.sorted_ids() if dropped is not None else None
-    timings: list[ShardTiming] = []
-    if workers == 1:
-        raw = [
-            _simulate_shard(kind, netlist, patterns, shard, engine, dropped_ids)
-            for shard in shards
-        ]
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(shards)), mp_context=_pool_context()
-        )
-        try:
-            futures = [
-                pool.submit(
-                    _simulate_shard, kind, netlist, patterns, shard,
-                    engine, dropped_ids,
-                )
-                for shard in shards
-            ]
-            raw = [future.result() for future in futures]
-        except BaseException:
-            # A failing shard must not leave the rest of the pool
-            # grinding through compiled-netlist shards nobody will
-            # read: drop queued work and return without waiting for
-            # in-flight shards (their processes exit once the queue is
-            # drained).
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-    results = []
-    for index, (result_dict, seconds, new_ids) in enumerate(raw):
-        results.append(FaultSimResult.from_dict(result_dict))
-        if dropped is not None:
-            dropped.update(new_ids)
-        timings.append(
-            ShardTiming(index=index, items=len(shards[index]), seconds=seconds)
-        )
-    _record_shard_metrics(metrics, f"faultsim.{kind}", timings)
-    merged = reduce_results(results)
-    # Empty shards contribute (0, 0); totals must match the serial sum.
-    return merged
-
-
-def parallel_fault_simulate(
-    netlist: Netlist,
-    patterns: PatternSet,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.ppsfp.fault_simulate`.
-
-    Accepts plain or weighted fault lists exactly like the serial
-    engine.  ``workers=1`` with the default shard count IS the serial
-    engine; any other geometry shards the list deterministically, fans
-    shards over a process pool and merges with
-    :func:`reduce_results` — the totals are bit-identical either way.
-    ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) receives
-    per-shard timing/throughput host counters when given.  ``engine``
-    and ``dropped`` pass through to the serial grader in every shard;
-    new drop-set detections are merged back after the pool completes.
-    """
-    from repro.faults.stuckat import collapse_with_weights
-
-    if faults is None:
-        faults = collapse_with_weights(netlist)
-    return _parallel_simulate(
-        "stuckat", fault_simulate, netlist, patterns, list(faults),
-        workers, num_shards, metrics, engine, dropped,
-    )
-
-
-def parallel_transition_fault_simulate(
-    netlist: Netlist,
-    patterns: PatternSet,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.transition.transition_fault_simulate`.
-
-    The pattern set must be *ordered* (see the serial engine); sharding
-    happens over faults, never over patterns, so launch/capture
-    adjacency is preserved inside every shard.
-    """
-    from repro.faults.transition import enumerate_transition_faults
-
-    if faults is None:
-        faults = enumerate_transition_faults(netlist)
-    return _parallel_simulate(
-        "transition", transition_fault_simulate, netlist, patterns,
-        list(faults), workers, num_shards, metrics, engine, dropped,
-    )
-
-
-def _pool_context():
-    """Prefer fork (cheap, inherits loaded modules) where available."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        return multiprocessing.get_context()
-
-
-def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> None:
-    if metrics is None:
-        return
-    for timing in timings:
-        metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
-        metrics.record_host(
-            f"{prefix}.shard{timing.index}.us", int(timing.seconds * 1e6)
-        )
-    metrics.record_host(f"{prefix}.shards", len(timings))
-    metrics.record_host(f"{prefix}.items", sum(t.items for t in timings))
-    metrics.record_host(
-        f"{prefix}.us", int(sum(t.seconds for t in timings) * 1e6)
-    )
-
-
 # ----------------------------------------------------------------------
-# Parallel checkpointed coverage campaigns.
+# Checkpointed coverage-campaign shards.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -511,9 +364,9 @@ def _campaign_shard_worker(spec: dict):
     just a smaller scenario list.
     """
     start = time.perf_counter()
-    chaos = spec.get("chaos")
-    attempt = spec.get("attempt", 1)
-    in_process = spec.get("in_process", False)
+    chaos = spec["chaos"]
+    attempt = spec["attempt"]
+    in_process = spec["in_process"]
     on_scenario = None
     if chaos is not None:
         chaos.fire(spec["index"], attempt, in_process=in_process)
@@ -531,7 +384,7 @@ def _campaign_shard_worker(spec: dict):
         retries=spec["retries"],
         audit=spec["audit"],
         on_scenario=on_scenario,
-        engine=spec.get("engine", "compiled"),
+        engine=spec["engine"],
     )
     return (
         spec["index"],
@@ -588,12 +441,11 @@ def _prepare_campaign(
 ):
     """Validate, pin/load the manifest, and scan shard checkpoints.
 
-    Shared between the plain parallel campaign and the supervised
-    orchestrator so both resume from exactly the same on-disk state.
-    Returns ``(directory, plan, labels, shard_scenarios, completed,
-    scheduled)`` where ``completed`` maps already-finished shard indices
-    to their outcome maps and ``scheduled`` lists the shard indices
-    still owing work.
+    Every campaign, whatever its worker count or retry policy, resumes
+    from exactly this scan of the on-disk state.  Returns ``(directory,
+    plan, labels, shard_scenarios, completed, scheduled)`` where
+    ``completed`` maps already-finished shard indices to their outcome
+    maps and ``scheduled`` lists the shard indices still owing work.
     """
     scenarios = tuple(scenarios)
     labels = [scenario.label for scenario in scenarios]
@@ -657,34 +509,6 @@ def _prepare_campaign(
     return directory, plan, labels, shard_scenarios, completed, scheduled
 
 
-def _shard_spec(
-    index: int,
-    directory: Path,
-    plan: CampaignShardPlan,
-    builders_provider,
-    shard_scenarios,
-    models,
-    modules: tuple[str, ...],
-    max_cycles: int,
-    retries: int,
-    audit: bool,
-    engine: str,
-) -> dict:
-    """The picklable work order for one campaign shard."""
-    return {
-        "index": index,
-        "provider": builders_provider,
-        "scenarios": shard_scenarios[index],
-        "models": models,
-        "checkpoint_path": str(directory / plan.checkpoint_name(index)),
-        "modules": tuple(modules),
-        "max_cycles": max_cycles,
-        "retries": retries,
-        "audit": audit,
-        "engine": engine,
-    }
-
-
 def _merge_campaign_outcomes(
     labels, completed, *, missing_ok=()
 ) -> dict[str, ScenarioOutcome]:
@@ -705,164 +529,3 @@ def _merge_campaign_outcomes(
             f"campaign finished with unaccounted scenarios {missing[:5]}"
         )
     return {label: merged[label] for label in labels if label in merged}
-
-
-def run_parallel_checkpointed_campaign(
-    builders_provider,
-    scenarios,
-    models,
-    checkpoint_dir: str | Path,
-    modules: tuple[str, ...] = ("FWD",),
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    max_cycles: int = 4_000_000,
-    retries: int = 1,
-    audit: bool = False,
-    metrics=None,
-    on_shard=None,
-    engine: str = "compiled",
-    policy=None,
-    chaos=None,
-    telemetry=None,
-) -> ParallelCampaignResult:
-    """Sharded, multi-process :func:`run_checkpointed_campaign`.
-
-    ``builders_provider`` is a zero-argument *picklable* callable (a
-    module-level function or :func:`functools.partial` of one) returning
-    the core-id -> program-builder dict; it is invoked inside each
-    worker so closures never cross the process boundary.  Scenarios are
-    partitioned into ``num_shards`` deterministic shards (stable hash
-    of the scenario label; default ``min(len(scenarios), 4 * workers)``)
-    and each shard runs the ordinary serial supervised campaign against
-    its own checkpoint file under ``checkpoint_dir``.
-
-    The shard layout is pinned in ``manifest.json`` on first run;
-    resuming re-validates the manifest (modules, scenario set), loads
-    every shard checkpoint, and re-schedules **only incomplete
-    shards** — with any worker count, which is why a campaign started
-    with N workers can be finished with M.  Scenario outcomes are
-    deterministic per scenario (fresh SoC, no cross-scenario state), so
-    the merged result is bit-identical for every (workers, num_shards)
-    geometry, including the exact-serial ``workers=1`` path.
-
-    ``on_shard(index, outcomes)`` fires in the parent as each shard
-    completes (kill-injection hook); ``metrics`` receives per-shard
-    timing/throughput host counters.  ``engine`` selects the
-    fault-simulation kernel inside every worker (compiled by default;
-    results are bit-identical across engines, so resuming a campaign
-    with a different engine than it started with is legal).
-
-    ``policy`` (a :class:`repro.faults.orchestrator.RetryPolicy`)
-    switches the run onto the supervised orchestrator: shard failures
-    are retried with deterministic backoff, a broken pool is rebuilt,
-    stragglers are re-dispatched, and persistent failures quarantine the
-    shard instead of aborting — the result is then a
-    :class:`~repro.faults.orchestrator.PartialCampaignResult` (a
-    ``ParallelCampaignResult`` subtype).  ``chaos`` and ``telemetry``
-    ride along to the orchestrator (failure injection for tests, event
-    sink for ``shard.retry``/``pool.rebuild``/... events).
-    """
-    if policy is not None:
-        # The supervised path owns the whole run, including the pool.
-        from repro.faults.orchestrator import run_supervised_campaign
-
-        return run_supervised_campaign(
-            builders_provider,
-            scenarios,
-            models,
-            checkpoint_dir,
-            modules=modules,
-            workers=workers,
-            num_shards=num_shards,
-            max_cycles=max_cycles,
-            retries=retries,
-            audit=audit,
-            metrics=metrics,
-            on_shard=on_shard,
-            engine=engine,
-            policy=policy,
-            chaos=chaos,
-            telemetry=telemetry,
-        )
-    if chaos is not None or telemetry is not None:
-        raise CheckpointError(
-            "chaos/telemetry require a RetryPolicy (the supervised path); "
-            "the plain parallel campaign has no failure handling to observe"
-        )
-    scenarios = tuple(scenarios)
-    directory, plan, labels, shard_scenarios, completed, scheduled = (
-        _prepare_campaign(scenarios, modules, checkpoint_dir, workers, num_shards)
-    )
-    specs = [
-        _shard_spec(
-            index, directory, plan, builders_provider, shard_scenarios,
-            models, modules, max_cycles, retries, audit, engine,
-        )
-        for index in scheduled
-    ]
-    timings: list[ShardTiming] = []
-    if workers == 1:
-        for spec in specs:
-            index, outcomes, seconds = _campaign_shard_worker(spec)
-            completed[index] = {
-                label: ScenarioOutcome.from_dict(data)
-                for label, data in outcomes.items()
-            }
-            timings.append(
-                ShardTiming(
-                    index=index, items=len(spec["scenarios"]), seconds=seconds
-                )
-            )
-            if on_shard is not None:
-                on_shard(index, completed[index])
-    elif specs:
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(specs)), mp_context=_pool_context()
-        )
-        try:
-            futures = {
-                pool.submit(_campaign_shard_worker, spec): spec for spec in specs
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    index, outcomes, seconds = future.result()
-                    completed[index] = {
-                        label: ScenarioOutcome.from_dict(data)
-                        for label, data in outcomes.items()
-                    }
-                    timings.append(
-                        ShardTiming(
-                            index=index,
-                            items=len(futures[future]["scenarios"]),
-                            seconds=seconds,
-                        )
-                    )
-                    if on_shard is not None:
-                        on_shard(index, completed[index])
-        except BaseException:
-            # Unwind without waiting: queued shards are cancelled and
-            # the pool is released immediately so a failing campaign
-            # does not keep workers (and their compiled netlists) alive
-            # behind the raised error.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-    timings.sort(key=lambda t: t.index)
-    _record_shard_metrics(metrics, "faultsim.campaign", timings)
-    if metrics is not None:
-        metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
-        metrics.record_host("faultsim.campaign.workers", workers)
-    # Present outcomes in the caller's scenario order, like the serial
-    # campaign's insertion-ordered checkpoint dict.
-    ordered = _merge_campaign_outcomes(labels, completed)
-    return ParallelCampaignResult(
-        outcomes=ordered,
-        shard_timings=timings,
-        num_shards=plan.num_shards,
-        workers=workers,
-        scheduled=tuple(scheduled),
-    )

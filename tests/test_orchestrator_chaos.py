@@ -26,7 +26,6 @@ from repro.core.determinism import Scenario, run_scenario
 from repro.cpu.core import CORE_MODEL_A
 from repro.errors import (
     CheckpointCorruptionWarning,
-    CheckpointError,
     OrchestrationError,
 )
 from repro.faults import (
@@ -417,12 +416,24 @@ def test_report_round_trips_and_lands_on_disk(tmp_path):
     assert loaded.backoff[0] == fast_policy().backoff_schedule(0)
 
 
-def test_chaos_without_policy_is_rejected(tmp_path):
-    with pytest.raises(CheckpointError, match="require a RetryPolicy"):
+def test_chaos_without_policy_surfaces_chaos_error(tmp_path):
+    """No policy means fail-fast: the injected failure is re-raised as
+    itself on the first attempt, with no retry and no pool."""
+    with pytest.raises(ChaosError, match=r"shard 0 attempt 1"):
         run_campaign(
             tmp_path / "campaign",
-            chaos=ChaosPolicy({0: ShardChaos()}),
+            chaos=ChaosPolicy({0: ShardChaos(failures=None)}),
+            workers=1,
         )
+    report = OrchestrationReport.from_dict(
+        json.loads(
+            (tmp_path / "campaign" / ORCHESTRATION_REPORT_NAME).read_text()
+        )
+    )
+    assert [(a.shard, a.status, a.in_process) for a in report.attempts] == [
+        (0, "error", True)
+    ]
+    assert not report.degraded_serial and report.quarantined == []
 
 
 def test_chaos_error_escapes_scenario_supervision():

@@ -13,7 +13,11 @@ single-CPU container).
 The speedup IS asserted: the compiled kernel exists to make the hot
 path at least 3x faster, and equivalence of the detected counts is
 checked in the same sweep — a fast-but-wrong kernel fails here before
-it fails the differential suite.
+it fails the differential suite.  The campaign runs assert the sharded
+campaign's contract too: every worker count (and so every shard plan)
+produces bit-identical coverage and signatures.  Their speedup is
+recorded, not asserted — with more workers than CPUs a pool can only
+break even.
 """
 
 from __future__ import annotations
@@ -124,10 +128,11 @@ def test_compiled_kernel_speedup(emit):
 
     # Pool scaling of the compiled engine over the same scenario set.
     runs = []
+    baseline = None
     for workers in WORKER_COUNTS:
         with tempfile.TemporaryDirectory() as tmp:
             start = time.perf_counter()
-            run_parallel_checkpointed_campaign(
+            result = run_parallel_checkpointed_campaign(
                 standard_provider(),
                 default_scenarios(),
                 DEFAULT_CAMPAIGN_MODELS,
@@ -138,12 +143,20 @@ def test_compiled_kernel_speedup(emit):
                 metrics=metrics,
             )
             seconds = time.perf_counter() - start
+        outcomes = {
+            label: outcome.to_dict() for label, outcome in result.outcomes.items()
+        }
+        if baseline is None:
+            baseline = outcomes
+        # Identical coverage and signatures whatever the pool geometry.
+        assert outcomes == baseline
         metrics.record_host(
             f"bench.hotpaths.campaign.w{workers}.us", int(seconds * 1e6)
         )
         runs.append(
             {
                 "workers": workers,
+                "shards": result.num_shards,
                 "seconds": round(seconds, 3),
                 "oversubscribed": workers > cpus,
             }
@@ -171,6 +184,7 @@ def test_compiled_kernel_speedup(emit):
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
+    serial_seconds = runs[0]["seconds"]
     emit(
         format_table(
             ("engine", "seconds", "evals/s", "speedup"),
@@ -187,6 +201,25 @@ def test_compiled_kernel_speedup(emit):
                 f"Serial grading of {len(items)} items "
                 f"({gate_fault_evals:,} gate-fault evals, best of {REPS}) "
                 f"-> {RESULT_PATH.name}"
+            ),
+        )
+        + "\n\n"
+        + format_table(
+            ("workers", "shards", "seconds", "speedup"),
+            [
+                (
+                    str(run["workers"]),
+                    str(run["shards"]),
+                    f"{run['seconds']:.2f}",
+                    f"{serial_seconds / run['seconds']:.2f}x"
+                    + (" (oversub)" if run["oversubscribed"] else ""),
+                )
+                for run in runs
+            ],
+            title=(
+                f"Compiled campaign: {len(default_scenarios())} scenarios x "
+                f"{len(MODULES)} modules on {cpus} CPU(s), bit-identical "
+                "at every worker count"
             ),
         )
     )

@@ -302,6 +302,66 @@ def verify_payload(path: Path, data: dict) -> str | None:
     return None
 
 
+def load_campaign_json(
+    path: Path, kind: str, modules: tuple[str, ...]
+) -> dict | None:
+    """Read, parse and verify one checkpoint or manifest file.
+
+    Returns the payload, or None when the file is missing or corrupt.
+    Unreadable bytes, invalid JSON or a content-digest mismatch are
+    *corruption*: the file moves to its ``.corrupt`` sidecar with a
+    :class:`CheckpointCorruptionWarning` and the caller starts fresh —
+    the work is recomputed, the evidence survives.  A version or module
+    mismatch is a *caller error* and raises :class:`CheckpointError`:
+    mixing incompatible campaigns must never be papered over by a
+    silent restart.  ``kind`` names the file in those messages.
+    """
+    if not path.exists():
+        return None
+    try:
+        data = json.loads(path.read_text())
+    # ValueError covers JSONDecodeError and the UnicodeDecodeError that
+    # non-UTF-8 garbage raises before the parser even runs.
+    except (OSError, ValueError) as exc:
+        quarantine_corrupt_file(path, f"unreadable: {exc}")
+        return None
+    reason = verify_payload(path, data)
+    if reason is not None:
+        quarantine_corrupt_file(path, reason)
+        return None
+    if data.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{kind} {path} has version {data.get('version')!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    if tuple(data.get("modules", ())) != tuple(modules):
+        raise CheckpointError(
+            f"{kind} {path} graded modules {data.get('modules')}, this "
+            f"campaign grades {list(modules)}; refusing to mix them"
+        )
+    return data
+
+
+def write_json_atomic(path: Path, data: dict) -> None:
+    """Write ``data`` as JSON so ``path`` is never seen half-written.
+
+    The temp name carries the pid so two processes pointed at the same
+    path can never tear each other's staging file; fsync-before-rename
+    makes the rename a real commit point even if the host dies right
+    after, and a failed write removes its temp file.
+    """
+    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(json.dumps(data, indent=2) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 @dataclass
 class ScenarioOutcome:
     """One scenario's graded coverages — or its recorded failure."""
@@ -356,43 +416,8 @@ class CampaignCheckpoint:
         self.path = Path(path)
         self.modules = tuple(modules)
         self.outcomes: dict[str, ScenarioOutcome] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        """Load and verify the checkpoint file.
-
-        Unreadable bytes, invalid JSON or a content-digest mismatch are
-        *corruption*: the file is quarantined to a ``.corrupt`` sidecar
-        with a :class:`CheckpointCorruptionWarning` and this checkpoint
-        starts empty — the shard recomputes, the evidence survives.
-        Version or module mismatches are *caller errors* and still
-        raise :class:`CheckpointError`: mixing incompatible campaigns
-        must never be papered over by a silent restart.
-        """
-        try:
-            data = json.loads(self.path.read_text())
-        # ValueError covers JSONDecodeError and the UnicodeDecodeError
-        # that non-UTF-8 garbage raises before the parser even runs.
-        except (OSError, ValueError) as exc:
-            quarantine_corrupt_file(self.path, f"unreadable: {exc}")
-            return
-        reason = verify_payload(self.path, data)
-        if reason is not None:
-            quarantine_corrupt_file(self.path, reason)
-            return
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path} has version {data.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        if tuple(data.get("modules", ())) != self.modules:
-            raise CheckpointError(
-                f"checkpoint {self.path} graded modules "
-                f"{data.get('modules')}, this campaign grades "
-                f"{list(self.modules)}; refusing to mix them"
-            )
-        for entry in data.get("scenarios", []):
+        data = load_campaign_json(self.path, "checkpoint", self.modules) or {}
+        for entry in data.get("scenarios", ()):
             outcome = ScenarioOutcome.from_dict(entry)
             self.outcomes[outcome.label] = outcome
 
@@ -426,20 +451,7 @@ class CampaignCheckpoint:
             "scenarios": [o.to_dict() for o in self.outcomes.values()],
         }
         data["digest"] = content_digest(data)
-        # The temp name carries the pid so two processes pointed at the
-        # same checkpoint path can never tear each other's staging file;
-        # fsync-before-rename makes the rename a real commit point even
-        # if the host dies right after.
-        tmp = self.path.with_suffix(f"{self.path.suffix}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(data, indent=2) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        write_json_atomic(self.path, data)
 
 
 def merge_outcome_maps(maps) -> dict[str, ScenarioOutcome]:

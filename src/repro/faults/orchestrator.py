@@ -5,11 +5,10 @@ routine, quarantine a persistent failure, report instead of aborting.
 This module applies the identical discipline one layer up, to the
 campaign infrastructure itself — because on a real shared machine the
 process pool is exactly as failure-prone as the silicon the paper
-worries about.  Every sharded entry point —
-:func:`parallel_fault_simulate`, :func:`parallel_transition_fault_simulate`,
-:func:`run_parallel_checkpointed_campaign` and the ``orchestrated_*``
-graders — runs the work units of :mod:`repro.faults.parallel` through
-one scheduler, :func:`_supervise`, under a :class:`RetryPolicy`:
+worries about.  The one parallel entry point,
+:func:`run_parallel_checkpointed_campaign`, runs the scenario shards of
+:mod:`repro.faults.parallel` through one scheduler, :func:`_supervise`,
+under a :class:`RetryPolicy`:
 
 * **Fail-fast by default.**  Without an explicit policy a run uses
   :data:`FAIL_FAST` (no retries, no partial results): the first failing
@@ -64,9 +63,7 @@ retries, rebuilds and straggler kills are invisible in the numbers.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -75,38 +72,22 @@ from hashlib import blake2b
 from pathlib import Path
 
 from repro.errors import FaultModelError, OrchestrationError
-from repro.faults.campaign import ScenarioOutcome
+from repro.faults.campaign import ScenarioOutcome, write_json_atomic
 from repro.faults.parallel import (
-    ParallelCampaignResult,
     ShardTiming,
     _campaign_shard_worker,
     _merge_campaign_outcomes,
     _prepare_campaign,
-    _simulate_shard,
-    check_partition,
-    reduce_results,
-    shard_faults,
-)
-from repro.faults.ppsfp import DropSet, FaultSimResult, PatternSet, fault_simulate
-from repro.faults.stuckat import collapse_with_weights
-from repro.faults.transition import (
-    enumerate_transition_faults,
-    transition_fault_simulate,
 )
 from repro.telemetry.events import NULL_SINK, EventKind
 
 __all__ = [
     "FAIL_FAST",
     "ORCHESTRATION_REPORT_NAME",
-    "OrchestratedSimResult",
     "OrchestrationReport",
     "PartialCampaignResult",
     "RetryPolicy",
     "ShardAttempt",
-    "orchestrated_fault_simulate",
-    "orchestrated_transition_fault_simulate",
-    "parallel_fault_simulate",
-    "parallel_transition_fault_simulate",
     "run_parallel_checkpointed_campaign",
 ]
 
@@ -304,15 +285,12 @@ class OrchestrationReport:
         )
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        os.replace(tmp, path)
+        write_json_atomic(Path(path), self.to_dict())
 
 
 @dataclass
-class PartialCampaignResult(ParallelCampaignResult):
-    """A supervised campaign's outcome, quarantine roster included.
+class PartialCampaignResult:
+    """A sharded campaign's outcome, shard accounting and quarantine roster.
 
     ``outcomes`` covers exactly the scenarios whose shards completed;
     ``quarantined_labels`` enumerates the rest, so any coverage computed
@@ -320,29 +298,15 @@ class PartialCampaignResult(ParallelCampaignResult):
     denominator — never a silently shrunken campaign.
     """
 
+    outcomes: dict[str, ScenarioOutcome]
+    shard_timings: list[ShardTiming] = field(default_factory=list)
+    num_shards: int = 1
+    workers: int = 1
+    #: Shard indices actually executed this run (resume skips the rest).
+    scheduled: tuple[int, ...] = ()
     quarantined_shards: tuple[int, ...] = ()
     quarantined_labels: tuple[str, ...] = ()
     report: OrchestrationReport | None = None
-
-    @property
-    def complete(self) -> bool:
-        return not self.quarantined_shards
-
-
-@dataclass(frozen=True)
-class OrchestratedSimResult:
-    """Supervised fault-simulation outcome.
-
-    With quarantined shards, ``result`` counts their faults in
-    ``total_faults`` with zero detections — coverage is a true lower
-    bound (the real coverage can only be higher).
-    """
-
-    result: FaultSimResult
-    report: OrchestrationReport
-    quarantined_shards: tuple[int, ...] = ()
-    #: Weighted fault population of the quarantined shards.
-    quarantined_faults: int = 0
 
     @property
     def complete(self) -> bool:
@@ -377,22 +341,21 @@ def _pool_context():
 
 def _supervise(
     indices,
-    submit,
-    run_inline,
+    spec_for,
     workers: int,
     policy: RetryPolicy,
     telemetry,
     report: OrchestrationReport,
     on_complete,
 ) -> None:
-    """Run every shard in ``indices`` to done-or-quarantined.
+    """Run every scenario shard in ``indices`` to done-or-quarantined.
 
-    ``submit(pool, index, attempt)`` dispatches one shard attempt into
-    the pool; ``run_inline(index, attempt)`` runs one in this process;
-    ``on_complete(index, raw)`` receives each shard's raw worker return
-    exactly once.  The caller merges results in shard order afterwards,
-    so completion order — the one thing chaos *does* perturb — never
-    reaches a result.
+    ``spec_for(index, attempt, in_process)`` builds the picklable work
+    order that :func:`~repro.faults.parallel._campaign_shard_worker`
+    runs, in the pool or in this process; ``on_complete(index, raw)``
+    receives each shard's raw worker return exactly once.  The caller
+    merges results in shard order afterwards, so completion order — the
+    one thing chaos *does* perturb — never reaches a result.
 
     A pool is built only when it can help: with more than one worker,
     or when the policy's retry budget can outlive a worker death.
@@ -523,7 +486,9 @@ def _supervise(
     def try_submit(state, isolated: bool) -> bool:
         attempt = state.failures + 1
         try:
-            future = submit(pool, state.index, attempt)
+            future = pool.submit(
+                _campaign_shard_worker, spec_for(state.index, attempt, False)
+            )
         except Exception:
             if policy.fail_fast:
                 raise
@@ -552,7 +517,9 @@ def _supervise(
                 attempt = state.failures + 1
                 start = time.perf_counter()
                 try:
-                    raw = run_inline(state.index, attempt)
+                    raw = _campaign_shard_worker(
+                        spec_for(state.index, attempt, True)
+                    )
                 except Exception as exc:
                     record_failure(
                         state, "error", exc, time.perf_counter() - start,
@@ -706,9 +673,12 @@ def _supervise(
     report.quarantined.sort()
 
 
-def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> None:
+def _record_shard_metrics(
+    metrics, timings: list[ShardTiming], scenarios: int, workers: int
+) -> None:
     if metrics is None:
         return
+    prefix = "faultsim.campaign"
     for timing in timings:
         metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
         metrics.record_host(
@@ -719,6 +689,8 @@ def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> N
     metrics.record_host(
         f"{prefix}.us", int(sum(t.seconds for t in timings) * 1e6)
     )
+    metrics.record_host(f"{prefix}.scenarios", scenarios)
+    metrics.record_host(f"{prefix}.workers", workers)
 
 
 def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
@@ -736,239 +708,6 @@ def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
     metrics.record_host("faultsim.orchestrator.stragglers", report.stragglers)
     metrics.record_host(
         "faultsim.orchestrator.degraded_serial", int(report.degraded_serial)
-    )
-
-
-# ----------------------------------------------------------------------
-# Sharded fault simulation (stuck-at / transition models).
-# ----------------------------------------------------------------------
-
-def _weighted_count(shard) -> int:
-    """Weighted fault population of one shard (weights default to 1)."""
-    return sum(
-        item[1] if isinstance(item, tuple) else 1 for item in shard
-    )
-
-
-def _fault_list(kind: str, netlist, faults) -> list:
-    """The caller's fault list, or the model's full default one."""
-    if faults is not None:
-        return list(faults)
-    if kind == "stuckat":
-        return collapse_with_weights(netlist)
-    return enumerate_transition_faults(netlist)
-
-
-def _orchestrated_simulate(
-    kind: str,
-    netlist,
-    patterns,
-    faults: list,
-    workers: int,
-    num_shards: int | None,
-    policy: RetryPolicy,
-    chaos,
-    telemetry,
-    metrics,
-    engine: str,
-    dropped: DropSet | None,
-) -> OrchestratedSimResult:
-    if workers < 1:
-        raise FaultModelError(f"workers must be >= 1, got {workers}")
-    shards = shard_faults(faults, num_shards or workers)
-    check_partition(faults, shards)
-    dropped_ids = dropped.sorted_ids() if dropped is not None else None
-    report = OrchestrationReport(
-        num_shards=len(shards), workers=workers, policy=policy.to_dict()
-    )
-    raw_results: dict[int, tuple] = {}
-
-    def submit(pool, index, attempt):
-        return pool.submit(
-            _simulate_shard, kind, netlist, patterns, shards[index],
-            engine, dropped_ids, chaos, index, attempt, False,
-        )
-
-    def run_inline(index, attempt):
-        return _simulate_shard(
-            kind, netlist, patterns, shards[index], engine, dropped_ids,
-            chaos, index, attempt, True,
-        )
-
-    def on_complete(index, raw):
-        raw_results[index] = raw
-
-    _supervise(
-        range(len(shards)), submit, run_inline, workers, policy,
-        telemetry, report, on_complete,
-    )
-
-    quarantined = tuple(report.quarantined)
-    if quarantined and not policy.allow_partial:
-        _record_orchestrator_metrics(metrics, report)
-        raise OrchestrationError(
-            f"{kind} fault simulation quarantined shards "
-            f"{list(quarantined)} after exhausting "
-            f"{policy.max_retries + 1} attempts each "
-            "(pass allow_partial=True for a lower-bound result)"
-        )
-    if not raw_results:
-        raise OrchestrationError(
-            f"{kind} fault simulation completed no shard at all; "
-            "a fully-quarantined run carries no information to return"
-        )
-    results = []
-    timings = []
-    for index in sorted(raw_results):
-        result_dict, seconds, new_ids = raw_results[index]
-        results.append(FaultSimResult.from_dict(result_dict))
-        if dropped is not None:
-            dropped.update(new_ids)
-        timings.append(
-            ShardTiming(
-                index=index, items=len(shards[index]), seconds=seconds
-            )
-        )
-    merged = reduce_results(results)
-    quarantined_faults = sum(_weighted_count(shards[i]) for i in quarantined)
-    if quarantined_faults:
-        # Fold the lost shards in as undetected: the reported coverage
-        # is a floor over the full fault population, not a rosy figure
-        # over a quietly shrunken one.
-        merged = merged.merge(
-            FaultSimResult(
-                module=merged.module,
-                total_faults=quarantined_faults,
-                detected_faults=0,
-                num_patterns=merged.num_patterns,
-            )
-        )
-    _record_shard_metrics(metrics, f"faultsim.{kind}", timings)
-    _record_orchestrator_metrics(metrics, report)
-    return OrchestratedSimResult(
-        result=merged,
-        report=report,
-        quarantined_shards=quarantined,
-        quarantined_faults=quarantined_faults,
-    )
-
-
-def _sharded_simulate(
-    kind, serial, netlist, patterns, faults, workers, num_shards, metrics,
-    engine, dropped,
-) -> FaultSimResult:
-    faults = _fault_list(kind, netlist, faults)
-    if workers == 1 and num_shards is None:
-        # The exact serial path: same function, same iteration order.
-        return serial(netlist, patterns, faults, engine=engine, dropped=dropped)
-    return _orchestrated_simulate(
-        kind, netlist, patterns, faults, workers, num_shards, FAIL_FAST,
-        None, None, metrics, engine, dropped,
-    ).result
-
-
-def parallel_fault_simulate(
-    netlist,
-    patterns: PatternSet,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.ppsfp.fault_simulate`.
-
-    Accepts plain or weighted fault lists exactly like the serial
-    engine.  ``workers=1`` with the default shard count IS the serial
-    engine; any other geometry shards the list deterministically, runs
-    the shards fail-fast (over a process pool when ``workers > 1``) and
-    merges with :func:`~repro.faults.parallel.reduce_results` — the
-    totals are bit-identical either way.  ``metrics`` (a
-    :class:`repro.telemetry.MetricsCollector`) receives per-shard
-    timing/throughput host counters when given.  ``engine`` and
-    ``dropped`` pass through to the serial grader in every shard; new
-    drop-set detections are merged back after the last shard completes.
-    """
-    return _sharded_simulate(
-        "stuckat", fault_simulate, netlist, patterns, faults, workers,
-        num_shards, metrics, engine, dropped,
-    )
-
-
-def parallel_transition_fault_simulate(
-    netlist,
-    patterns: PatternSet,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.transition.transition_fault_simulate`.
-
-    The pattern set must be *ordered* (see the serial engine); sharding
-    happens over faults, never over patterns, so launch/capture
-    adjacency is preserved inside every shard.
-    """
-    return _sharded_simulate(
-        "transition", transition_fault_simulate, netlist, patterns, faults,
-        workers, num_shards, metrics, engine, dropped,
-    )
-
-
-def orchestrated_fault_simulate(
-    netlist,
-    patterns,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    policy: RetryPolicy | None = None,
-    chaos=None,
-    telemetry=None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> OrchestratedSimResult:
-    """Supervised :func:`parallel_fault_simulate`.
-
-    Same sharding, same merge, same bit-identical totals — plus the
-    retry/rebuild/straggler/quarantine supervision documented on this
-    module under ``policy`` (default: a retrying :class:`RetryPolicy`).
-    With a retry budget, ``workers=1`` still runs through a
-    (single-worker) pool so a crashing shard is recoverable rather than
-    fatal.
-    """
-    return _orchestrated_simulate(
-        "stuckat", netlist, patterns, _fault_list("stuckat", netlist, faults),
-        workers, num_shards, policy or RetryPolicy(), chaos, telemetry,
-        metrics, engine, dropped,
-    )
-
-
-def orchestrated_transition_fault_simulate(
-    netlist,
-    patterns,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    policy: RetryPolicy | None = None,
-    chaos=None,
-    telemetry=None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> OrchestratedSimResult:
-    """Supervised transition-delay variant (ordered pattern sets)."""
-    return _orchestrated_simulate(
-        "transition", netlist, patterns,
-        _fault_list("transition", netlist, faults), workers, num_shards,
-        policy or RetryPolicy(), chaos, telemetry, metrics, engine, dropped,
     )
 
 
@@ -1065,14 +804,6 @@ def run_parallel_checkpointed_campaign(
             "in_process": in_process,
         }
 
-    def submit(pool, index, attempt):
-        return pool.submit(
-            _campaign_shard_worker, spec_for(index, attempt, False)
-        )
-
-    def run_inline(index, attempt):
-        return _campaign_shard_worker(spec_for(index, attempt, True))
-
     def on_complete(index, raw):
         _, outcomes, seconds = raw
         completed[index] = {
@@ -1091,8 +822,8 @@ def run_parallel_checkpointed_campaign(
 
     try:
         _supervise(
-            scheduled, submit, run_inline, workers, policy, telemetry,
-            report, on_complete,
+            scheduled, spec_for, workers, policy, telemetry, report,
+            on_complete,
         )
     finally:
         report.save(directory / ORCHESTRATION_REPORT_NAME)
@@ -1104,11 +835,8 @@ def run_parallel_checkpointed_campaign(
         for label in plan.labels[index]
     )
     timings.sort(key=lambda t: t.index)
-    _record_shard_metrics(metrics, "faultsim.campaign", timings)
+    _record_shard_metrics(metrics, timings, len(scenarios), workers)
     _record_orchestrator_metrics(metrics, report)
-    if metrics is not None:
-        metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
-        metrics.record_host("faultsim.campaign.workers", workers)
     if quarantined_shards and not policy.allow_partial:
         raise OrchestrationError(
             f"campaign quarantined shard(s) {list(quarantined_shards)} "

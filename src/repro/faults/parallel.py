@@ -1,50 +1,36 @@
-"""Deterministic sharding primitives for fault simulation and campaigns.
+"""Deterministic scenario sharding for checkpointed campaigns.
 
-The serial graders in :mod:`repro.faults.ppsfp` /
-:mod:`repro.faults.transition` simulate one fault at a time against a
-fixed pattern set, and :func:`repro.faults.campaign.run_checkpointed_campaign`
-runs one scenario at a time — both embarrassingly parallel, and both on
-the critical path of every Table II/III reproduction.  This module holds
+:func:`repro.faults.campaign.run_checkpointed_campaign` runs one
+scenario at a time, and each scenario is graded on its own (Section
+IV-C: "each of these logic simulations was then fault simulated"), so
+the scenario is the unit of parallel work.  This module holds
 everything about splitting that work that must not depend on how it is
 executed:
 
-* **Deterministic sharding.**  Faults are assigned to shards by a
-  *stable* hash of their identity (:func:`stable_shard_index`, CRC-32 of
-  ``str(fault)`` — never Python's salted ``hash``), scenarios by the
-  same hash of their label.  The shard layout depends only on the work
-  items and the shard count, never on the worker count, host, or
-  process — so any pool geometry reproduces the same partition.
-* **Explicit per-shard seeds.**  :func:`shard_seed` derives a stable
-  64-bit seed per (base seed, shard index) for any stochastic component
-  a shard may host (randomised property tests, sampled campaigns); the
-  built-in fault models are deterministic and ignore it.
-* **Order-independent merging.**  Shard results are combined with an
-  associativity-checked reducer (:func:`reduce_results`): detection of
-  each fault is independent under single-fault assumption, so per-shard
-  ``detected``/``total`` counts add exactly, and the reducer verifies
-  that a left fold and a balanced tree fold agree before trusting the
-  sum.
-* **Shard work units.**  :func:`_simulate_shard` grades one fault shard
-  and :func:`_campaign_shard_worker` runs one scenario shard; both are
-  picklable process-pool entry points that run equally well in-process.
+* **Deterministic sharding.**  Scenarios are assigned to shards by a
+  *stable* hash of their label (:func:`stable_shard_index`, CRC-32 —
+  never Python's salted ``hash``).  The shard layout depends only on
+  the scenario set and the shard count, never on the worker count,
+  host, or process — so any pool geometry reproduces the same plan.
+* **The shard work unit.**  :func:`_campaign_shard_worker` runs one
+  scenario shard; it is a picklable process-pool entry point that runs
+  equally well in-process.
 
 The campaign layout is pinned by a manifest and every scenario shard
 owns one :class:`~repro.faults.campaign.CampaignCheckpoint`, so a killed
 campaign resumes by re-scheduling only incomplete shards — with any
 worker count, not just the one it started with.  The one scheduler that
 executes shards (in-process or over a process pool, fail-fast or
-supervised) and the public entry points built on it live in
+supervised) and the public entry point built on it live in
 :mod:`repro.faults.orchestrator`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
-from hashlib import blake2b
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CheckpointError, FaultModelError
@@ -53,25 +39,17 @@ from repro.faults.campaign import (
     CampaignCheckpoint,
     ScenarioOutcome,
     content_digest,
+    load_campaign_json,
     merge_outcome_maps,
-    quarantine_corrupt_file,
     run_checkpointed_campaign,
-    verify_payload,
+    write_json_atomic,
 )
-from repro.faults.netlist import Netlist
-from repro.faults.ppsfp import DropSet, FaultSimResult, PatternSet, fault_simulate
-from repro.faults.transition import transition_fault_simulate
 
 __all__ = [
     "CampaignShardPlan",
-    "ParallelCampaignResult",
     "ShardTiming",
-    "check_partition",
     "plan_campaign_shards",
-    "reduce_results",
     "resolve_workers",
-    "shard_faults",
-    "shard_seed",
     "stable_shard_index",
 ]
 
@@ -99,125 +77,20 @@ def resolve_workers(requested: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Deterministic sharding primitives.
+# Deterministic scenario shards.
 # ----------------------------------------------------------------------
-
-def fault_identity(item) -> str:
-    """Stable identity string of a fault-list item.
-
-    Accepts both plain faults and the weighted ``(fault, class_size)``
-    pairs of :func:`repro.faults.stuckat.collapse_with_weights`; the
-    weight is not part of the identity (it rides along with its
-    representative).
-    """
-    fault = item[0] if isinstance(item, tuple) else item
-    return str(fault)
-
 
 def stable_shard_index(identity: str, num_shards: int) -> int:
     """Shard assignment by CRC-32 of the identity string.
 
     Deliberately *not* Python's ``hash``: that one is salted per
-    process (PYTHONHASHSEED), which would scatter faults differently in
-    every worker and make serial-vs-parallel equivalence meaningless.
+    process (PYTHONHASHSEED), which would scatter scenarios differently
+    in every worker and make serial-vs-parallel equivalence meaningless.
     """
     if num_shards < 1:
         raise FaultModelError(f"num_shards must be >= 1, got {num_shards}")
     return zlib.crc32(identity.encode("utf-8")) % num_shards
 
-
-def shard_seed(base_seed: int, shard_index: int) -> int:
-    """Explicit per-shard RNG seed (stable 64-bit blake2b derivation)."""
-    digest = blake2b(
-        f"{base_seed}:{shard_index}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
-def shard_faults(faults: list, num_shards: int) -> list[list]:
-    """Partition a fault list into ``num_shards`` deterministic shards.
-
-    Every fault lands in exactly one shard (stable hash of its
-    identity) and keeps its original relative order inside the shard.
-    Shards may be empty — a 3-fault list sharded 16 ways is legal and
-    merges to the same totals.
-    """
-    shards: list[list] = [[] for _ in range(num_shards)]
-    for item in faults:
-        shards[stable_shard_index(fault_identity(item), num_shards)].append(item)
-    return shards
-
-
-def check_partition(faults: list, shards: list[list]) -> None:
-    """Verify a shard set is a true partition of the fault list.
-
-    Completeness (every fault present) and disjointness (no fault in
-    two shards) are checked as identity multisets; a violation raises
-    :class:`~repro.errors.FaultModelError` rather than silently
-    over- or under-counting coverage.
-    """
-    want: dict[str, int] = {}
-    for item in faults:
-        key = fault_identity(item)
-        want[key] = want.get(key, 0) + 1
-    got: dict[str, int] = {}
-    for shard in shards:
-        for item in shard:
-            key = fault_identity(item)
-            got[key] = got.get(key, 0) + 1
-    if want != got:
-        missing = {k for k in want if want[k] > got.get(k, 0)}
-        extra = {k for k in got if got[k] > want.get(k, 0)}
-        raise FaultModelError(
-            f"shard set is not a partition: missing={sorted(missing)[:5]} "
-            f"duplicated_or_foreign={sorted(extra)[:5]}"
-        )
-
-
-# ----------------------------------------------------------------------
-# Order-independent, associativity-checked result reduction.
-# ----------------------------------------------------------------------
-
-def reduce_results(results: list[FaultSimResult]) -> FaultSimResult:
-    """Merge per-shard results into one, checking associativity.
-
-    The merge itself is integer addition over ``total``/``detected``
-    (commutative and associative by construction); the check folds the
-    list both left-to-right and as a balanced tree and insists the two
-    agree, so a future non-associative "merge" cannot slip in silently.
-    """
-    if not results:
-        raise FaultModelError("reduce_results of an empty shard list")
-    left = results[0]
-    for result in results[1:]:
-        left = left.merge(result)
-    tree = _tree_reduce(results)
-    if (left.total_faults, left.detected_faults) != (
-        tree.total_faults,
-        tree.detected_faults,
-    ):
-        raise FaultModelError(
-            f"merge is not associative: fold={left} tree={tree}"
-        )
-    return left
-
-
-def _tree_reduce(results: list[FaultSimResult]) -> FaultSimResult:
-    level = list(results)
-    while len(level) > 1:
-        nxt = [
-            level[i].merge(level[i + 1])
-            for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-# ----------------------------------------------------------------------
-# Fault-simulation shards (stuck-at / PPSFP and transition models).
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ShardTiming:
@@ -233,56 +106,6 @@ class ShardTiming:
         if self.seconds <= 0.0:
             return 0.0
         return self.items / self.seconds
-
-
-def _simulate_shard(
-    kind: str,
-    netlist: Netlist,
-    patterns: PatternSet,
-    shard: list,
-    engine: str,
-    dropped_ids: list[str] | None,
-    chaos,
-    shard_index: int,
-    attempt: int,
-    in_process: bool,
-):
-    """Process-pool entry point: grade one fault shard serially.
-
-    ``dropped_ids`` carries the caller's :class:`DropSet` content into
-    the worker; the returned third element lists the shard's *new*
-    detections (sorted) so the parent can merge them back.  Because
-    faults are sharded by the same ``stable_id`` the drop set is keyed
-    on, a fault's drop state never crosses shards — any geometry drops
-    exactly like the serial path.
-
-    ``chaos``/``shard_index``/``attempt`` come from the shard driver in
-    :mod:`repro.faults.orchestrator`: the
-    :class:`~repro.faults.chaos.ChaosPolicy` fires a deterministic
-    injected failure at shard entry when its directive matches this
-    (shard, attempt) pair, and ``in_process`` downgrades process-level
-    misbehaviour when the scheduler runs the shard in the calling process.
-    """
-    if chaos is not None:
-        chaos.fire(shard_index, attempt, in_process=in_process)
-    start = time.perf_counter()
-    dropped = DropSet(dropped_ids) if dropped_ids is not None else None
-    if kind == "stuckat":
-        result = fault_simulate(
-            netlist, patterns, shard, engine=engine, dropped=dropped
-        )
-    elif kind == "transition":
-        result = transition_fault_simulate(
-            netlist, patterns, shard, engine=engine, dropped=dropped
-        )
-    else:  # pragma: no cover - guarded by the public wrappers
-        raise FaultModelError(f"unknown fault model kind {kind!r}")
-    new_ids = (
-        sorted(dropped.detected.difference(dropped_ids))
-        if dropped is not None
-        else []
-    )
-    return result.to_dict(), time.perf_counter() - start, new_ids
 
 
 # ----------------------------------------------------------------------
@@ -336,25 +159,6 @@ def plan_campaign_shards(
     )
 
 
-@dataclass
-class ParallelCampaignResult:
-    """Merged outcomes plus the run's shard-level accounting."""
-
-    outcomes: dict[str, ScenarioOutcome]
-    shard_timings: list[ShardTiming] = field(default_factory=list)
-    num_shards: int = 1
-    workers: int = 1
-    #: Shard indices actually executed this run (resume skips the rest).
-    scheduled: tuple[int, ...] = ()
-
-    def coverage_dicts(self) -> dict[str, list[dict]]:
-        """Scenario label -> coverage dict list (comparison helper)."""
-        return {
-            label: outcome.coverages
-            for label, outcome in sorted(self.outcomes.items())
-        }
-
-
 def _campaign_shard_worker(spec: dict):
     """Process-pool entry point: run one scenario shard to completion.
 
@@ -393,43 +197,24 @@ def _campaign_shard_worker(spec: dict):
     )
 
 
-def _load_manifest(path: Path) -> CampaignShardPlan | None:
-    """Load + verify the shard-layout manifest.
+def _load_manifest(
+    path: Path, modules: tuple[str, ...]
+) -> CampaignShardPlan | None:
+    """Load + verify the shard-layout manifest (None: plan afresh).
 
-    Corruption (unreadable bytes, bad JSON, digest mismatch) quarantines
-    the file to a ``.corrupt`` sidecar with a warning and returns None —
-    the campaign re-plans, and because :func:`plan_campaign_shards` is a
-    pure function of (scenarios, num_shards) a re-planned layout with
-    the same shard count re-adopts every existing shard checkpoint.
-    Version mismatches still raise: that is an incompatibility, not rot.
+    A corrupt manifest moves to its ``.corrupt`` sidecar and the
+    campaign re-plans; because :func:`plan_campaign_shards` is a pure
+    function of (scenarios, num_shards), a re-planned layout with the
+    same shard count re-adopts every existing shard checkpoint.
     """
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text())
-    # ValueError covers JSONDecodeError and the UnicodeDecodeError that
-    # non-UTF-8 garbage raises before the parser even runs.
-    except (OSError, ValueError) as exc:
-        quarantine_corrupt_file(path, f"unreadable: {exc}")
-        return None
-    reason = verify_payload(path, data)
-    if reason is not None:
-        quarantine_corrupt_file(path, reason)
-        return None
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"campaign manifest {path} has version {data.get('version')!r}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
-    return CampaignShardPlan.from_dict(data)
+    data = load_campaign_json(path, "campaign manifest", modules)
+    return CampaignShardPlan.from_dict(data) if data is not None else None
 
 
 def _save_manifest(path: Path, plan: CampaignShardPlan) -> None:
     data = plan.to_dict()
     data["digest"] = content_digest(data)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(data, indent=2) + "\n")
-    os.replace(tmp, path)
+    write_json_atomic(path, data)
 
 
 def _prepare_campaign(
@@ -456,7 +241,7 @@ def _prepare_campaign(
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / MANIFEST_NAME
-    plan = _load_manifest(manifest_path)
+    plan = _load_manifest(manifest_path, tuple(modules))
     if plan is None:
         plan = plan_campaign_shards(
             scenarios, modules,
@@ -464,11 +249,6 @@ def _prepare_campaign(
         )
         _save_manifest(manifest_path, plan)
     else:
-        if plan.modules != tuple(modules):
-            raise CheckpointError(
-                f"campaign at {directory} grades modules {list(plan.modules)}, "
-                f"this run grades {list(modules)}; refusing to mix them"
-            )
         if num_shards is not None and num_shards != plan.num_shards:
             raise CheckpointError(
                 f"campaign at {directory} is sharded {plan.num_shards} ways; "

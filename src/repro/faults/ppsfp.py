@@ -16,15 +16,6 @@ Two engines share this contract and produce bit-identical results:
   kept selectable (and continuously differential-tested) both as the
   correctness oracle and for netlists that are still under
   construction, since compiling freezes the structure.
-
-Both engines support **fault dropping** through a :class:`DropSet`:
-a registry of detected ``stable_id``s shared across calls (pattern
-blocks, scenarios) of one cumulative grading campaign.  A fault whose
-id is already in the set is credited as detected without simulating —
-the classic fault-dropping optimisation — and because drop decisions
-are keyed by the same ``stable_id`` the deterministic sharder hashes,
-a fault's drop state is confined to the one shard that owns it: serial
-and sharded runs drop identically.
 """
 
 from __future__ import annotations
@@ -47,54 +38,6 @@ def _check_engine(engine: str) -> None:
         raise FaultModelError(
             f"unknown engine {engine!r} (choices: {', '.join(ENGINES)})"
         )
-
-
-class DropSet:
-    """Detected-fault registry for cross-call fault dropping.
-
-    Pass one instance through consecutive :func:`fault_simulate` /
-    :func:`~repro.faults.transition.transition_fault_simulate` calls of
-    a cumulative campaign: every newly detected fault's ``stable_id``
-    is recorded, and faults already present are *dropped* — credited as
-    detected without re-simulating.  Within a single call over a
-    duplicate-free fault list the set never changes the result (each id
-    is seen once), so per-call results stay bit-identical with or
-    without dropping; across calls it implements union semantics
-    ("which faults has the campaign detected so far") at a fraction of
-    the cost.
-
-    Determinism rule: drop decisions are keyed by ``stable_id`` — the
-    exact key :func:`repro.faults.parallel.stable_shard_index` hashes —
-    so a fault's drop state lives entirely in the one shard that owns
-    the fault, and any (workers, num_shards) geometry drops the same
-    faults on the same calls as the serial path.
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self, ids=()):
-        self._ids: set[str] = set(ids)
-
-    def __contains__(self, stable_id: str) -> bool:
-        return stable_id in self._ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def add(self, stable_id: str) -> None:
-        self._ids.add(stable_id)
-
-    def update(self, ids) -> None:
-        self._ids.update(ids)
-
-    @property
-    def detected(self) -> frozenset:
-        """The detected ``stable_id``s recorded so far."""
-        return frozenset(self._ids)
-
-    def sorted_ids(self) -> list[str]:
-        """Deterministically ordered ids (for manifests and pickles)."""
-        return sorted(self._ids)
 
 
 @dataclass
@@ -130,43 +73,6 @@ class FaultSimResult:
         if self.total_faults == 0:
             return 0.0
         return 100.0 * self.detected_faults / self.total_faults
-
-    def merge(self, other: "FaultSimResult") -> "FaultSimResult":
-        """Combine results of two disjoint fault shards.
-
-        Under the single-fault assumption each fault's detection is
-        independent of every other fault in the list, so the counts of
-        disjoint shards add exactly.  Both shards must have been graded
-        against the same module and pattern set.
-        """
-        if other.module != self.module or other.num_patterns != self.num_patterns:
-            raise FaultModelError(
-                f"cannot merge {self.module}@{self.num_patterns} patterns "
-                f"with {other.module}@{other.num_patterns} patterns"
-            )
-        return FaultSimResult(
-            module=self.module,
-            total_faults=self.total_faults + other.total_faults,
-            detected_faults=self.detected_faults + other.detected_faults,
-            num_patterns=self.num_patterns,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "total_faults": self.total_faults,
-            "detected_faults": self.detected_faults,
-            "num_patterns": self.num_patterns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSimResult":
-        return cls(
-            module=data["module"],
-            total_faults=data["total_faults"],
-            detected_faults=data["detected_faults"],
-            num_patterns=data["num_patterns"],
-        )
 
 
 def good_simulation(netlist: Netlist, patterns: PatternSet) -> list[int]:
@@ -225,7 +131,6 @@ def fault_simulate(
     faults: list[StuckAtFault] | list[tuple[StuckAtFault, int]] | None = None,
     *,
     engine: str = "compiled",
-    dropped: DropSet | None = None,
 ) -> FaultSimResult:
     """Simulate every fault against the pattern set.
 
@@ -236,9 +141,7 @@ def fault_simulate(
 
     ``engine`` selects the compiled array kernel (default) or the
     interpreted per-gate reference path — bit-identical results either
-    way.  ``dropped``, when given, enables fault dropping: faults whose
-    ``stable_id`` is already recorded are credited as detected without
-    simulation, and new detections are added to the set.
+    way.
     """
     _check_engine(engine)
     if faults is None:
@@ -260,29 +163,19 @@ def fault_simulate(
         propagate = compiled.propagator(good, mask, obs, truncated)
         for fault, weight in weighted:
             total += weight
-            if dropped is not None and fault.stable_id in dropped:
-                detected += weight
-                continue
             faulty_value = 0 if fault.value == 0 else mask
             if propagate(fault.net, faulty_value):
                 detected += weight
-                if dropped is not None:
-                    dropped.add(fault.stable_id)
     else:
         good = good_simulation(netlist, patterns)
         observability = patterns.output_observability
         for fault, weight in weighted:
             total += weight
-            if dropped is not None and fault.stable_id in dropped:
-                detected += weight
-                continue
             faulty_value = 0 if fault.value == 0 else mask
             if _propagate(
                 netlist, good, fault.net, faulty_value, mask, observability
             ):
                 detected += weight
-                if dropped is not None:
-                    dropped.add(fault.stable_id)
     return FaultSimResult(
         module=netlist.name,
         total_faults=total,

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from repro.faults.compiled import compiled_for
 from repro.faults.netlist import Netlist
 from repro.faults.ppsfp import (
-    DropSet,
     FaultSimResult,
     PatternSet,
     _check_engine,
@@ -53,8 +52,8 @@ class TransitionFault:
 
     @property
     def stable_id(self) -> str:
-        """Process-stable identity used for deterministic sharding
-        (same contract as :attr:`StuckAtFault.stable_id`)."""
+        """Process-stable identity of the fault (same contract as
+        :attr:`StuckAtFault.stable_id`)."""
         kind = "STR" if self.rising else "STF"
         return f"net{self.net}/{kind}"
 
@@ -77,7 +76,6 @@ def transition_fault_simulate(
     faults: list[TransitionFault] | None = None,
     *,
     engine: str = "compiled",
-    dropped: DropSet | None = None,
 ) -> FaultSimResult:
     """Grade transition faults against an *ordered* pattern set.
 
@@ -85,10 +83,9 @@ def transition_fault_simulate(
     with ``ordered=True``); a deduplicated set would invent adjacencies
     that never happened on the hardware.
 
-    ``engine``/``dropped`` behave exactly as on
+    ``engine`` behaves exactly as on
     :func:`repro.faults.ppsfp.fault_simulate`: the compiled kernel is
-    bit-identical to the interpreted path, and a :class:`DropSet`
-    credits already-detected faults without re-simulating them.
+    bit-identical to the interpreted path.
     """
     _check_engine(engine)
     if faults is None:
@@ -105,9 +102,6 @@ def transition_fault_simulate(
         propagate = None
     detected = 0
     for fault in faults:
-        if dropped is not None and fault.stable_id in dropped:
-            detected += 1
-            continue
         value = good[fault.net]
         previous = (value << 1) & mask
         if fault.rising:
@@ -126,8 +120,6 @@ def transition_fault_simulate(
             )
         if hit:
             detected += 1
-            if dropped is not None:
-                dropped.add(fault.stable_id)
     return FaultSimResult(
         module=f"{netlist.name}:transition",
         total_faults=len(faults),

@@ -5,9 +5,9 @@ performance substitution: levelized arrays, cached cones, preallocated
 buffers — but not one reported number may move.  These tests pin that
 contract against the interpreted reference path for the three fault
 models (uncollapsed stuck-at, weighted PPSFP, transition-delay), on
-both real module netlists and seeded random ones, with and without
-fault dropping, across shard geometries, and through a killed-and-
-resumed checkpointed campaign that switches engines mid-flight.
+both real module netlists and seeded random ones, and through a
+killed-and-resumed checkpointed campaign that switches engines
+mid-flight.
 """
 
 import pickle
@@ -19,11 +19,9 @@ from repro.core.determinism import Scenario, run_scenario
 from repro.cpu.core import CORE_MODEL_A
 from repro.errors import FaultModelError
 from repro.faults import (
-    DropSet,
     compiled_for,
     fault_simulate,
     get_modules,
-    parallel_fault_simulate,
     run_checkpointed_campaign,
     run_parallel_checkpointed_campaign,
 )
@@ -39,7 +37,6 @@ from repro.faults.transition import (
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 
-SHARD_COUNTS = (1, 2, 7, 16)
 SEEDS = tuple(range(6))
 
 SCENARIOS = (
@@ -199,70 +196,6 @@ def test_random_netlists_transition_equivalence(seed):
     ) == as_tuple(
         transition_fault_simulate(netlist, patterns, faults, engine="interpreted")
     )
-
-
-# ----------------------------------------------------------------------
-# Fault dropping: neutral within a call, cumulative across calls,
-# identical across engines and shard geometries.
-# ----------------------------------------------------------------------
-
-
-def test_dropping_is_neutral_within_one_call(fwd_port):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)
-    plain = fault_simulate(netlist, patterns, faults)
-    for engine in ("compiled", "interpreted"):
-        dropped = DropSet()
-        dropping = fault_simulate(
-            netlist, patterns, faults, engine=engine, dropped=dropped
-        )
-        assert as_tuple(dropping) == as_tuple(plain)
-        assert len(dropped) == plain.detected_faults
-
-
-def test_engines_record_identical_drop_sets(fwd_port):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)
-    sets = {}
-    for engine in ("compiled", "interpreted"):
-        dropped = DropSet()
-        fault_simulate(netlist, patterns, faults, engine=engine, dropped=dropped)
-        sets[engine] = dropped.detected
-    assert sets["compiled"] == sets["interpreted"]
-
-
-def test_predetected_faults_are_credited_not_resimulated(fwd_port):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)
-    first = DropSet()
-    reference = fault_simulate(netlist, patterns, faults, dropped=first)
-    # Second pass over the same list with the populated set: every
-    # previously detected fault is credited, undetected ones re-graded.
-    for engine in ("compiled", "interpreted"):
-        again = fault_simulate(
-            netlist, patterns, faults, engine=engine,
-            dropped=DropSet(first.detected),
-        )
-        assert as_tuple(again) == as_tuple(reference)
-    # Pre-dropping *every* fault short-circuits the whole run.
-    everything = DropSet(f.stable_id for f in faults)
-    credited = fault_simulate(netlist, patterns, faults, dropped=everything)
-    assert credited.detected_faults == len(faults)
-
-
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_sharded_dropping_matches_serial(fwd_port, num_shards):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)
-    serial_set = DropSet()
-    serial = fault_simulate(netlist, patterns, faults, dropped=serial_set)
-    sharded_set = DropSet()
-    sharded = parallel_fault_simulate(
-        netlist, patterns, faults,
-        workers=1, num_shards=num_shards, dropped=sharded_set,
-    )
-    assert as_tuple(sharded) == as_tuple(serial)
-    assert sharded_set.detected == serial_set.detected
 
 
 # ----------------------------------------------------------------------

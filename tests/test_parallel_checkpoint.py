@@ -18,9 +18,11 @@ from repro.faults import (
     CampaignCheckpoint,
     ScenarioOutcome,
     merge_outcome_maps,
+    plan_campaign_shards,
     run_parallel_checkpointed_campaign,
 )
-from repro.faults.parallel import MANIFEST_NAME
+from repro.faults.orchestrator import ORCHESTRATION_REPORT_NAME, OrchestrationReport
+from repro.faults.parallel import MANIFEST_NAME, _save_manifest
 from repro.faults.workload import (
     DEFAULT_CAMPAIGN_MODELS,
     forwarding_builders,
@@ -157,6 +159,36 @@ def test_failed_save_of_updated_outcome_restores_previous(
     with pytest.raises(OSError):
         checkpoint.record(ScenarioOutcome(label="s1", attempts=7))
     assert checkpoint.outcomes["s1"].attempts == original.attempts
+
+
+def test_manifest_and_report_saves_are_atomic(tmp_path, monkeypatch):
+    """The manifest and the orchestration report commit like a shard
+    checkpoint: fsync before the rename, and a failed rename leaves
+    no staging file behind."""
+    plan = plan_campaign_shards(SCENARIOS, ("FWD",), 2)
+    report = OrchestrationReport(num_shards=2, workers=1)
+    saves = {
+        MANIFEST_NAME: lambda path: _save_manifest(path, plan),
+        ORCHESTRATION_REPORT_NAME: report.save,
+    }
+    real_fsync = os.fsync
+    synced = []
+
+    def fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    def die(src, dst):
+        raise OSError("simulated kill during rename")
+
+    monkeypatch.setattr("repro.faults.campaign.os.fsync", fsync)
+    monkeypatch.setattr("repro.faults.campaign.os.replace", die)
+    for name, save in saves.items():
+        synced.clear()
+        with pytest.raises(OSError, match="simulated kill"):
+            save(tmp_path / name)
+        assert synced, f"{name} was renamed without an fsync"
+        assert list(tmp_path.iterdir()) == [], f"{name} left a temp file"
 
 
 def test_merge_outcome_maps_rejects_duplicate_scenarios():

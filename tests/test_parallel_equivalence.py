@@ -1,33 +1,23 @@
-"""Differential serial-vs-parallel equivalence for every fault model.
+"""Differential serial-vs-sharded campaign equivalence.
 
-The parallel engine's contract is that no (workers, num_shards)
+The parallel campaign's contract is that no (workers, num_shards)
 geometry changes a single reported number.  These tests pin that
-contract for the three fault models — uncollapsed stuck-at, weighted
-PPSFP (collapsed equivalence classes) and transition-delay — across
-shard counts {1, 2, 7, 16}, odd shard shapes (empty shards, a
-single-fault shard) and real process pools, and for the campaign layer
+contract for both fault models a campaign grades — weighted stuck-at
+(FWD, HDCU, ICU) and transition-delay (FWD-TDF) — across shard counts
+{1, 2, 7, 16}, odd shard shapes (empty shards) and real process pools,
 including the per-core signatures each scenario records.
 """
 
 import pytest
 
-from repro.core.determinism import Scenario, run_scenario
-from repro.cpu.core import CORE_MODEL_A
+from repro.core.determinism import Scenario
 from repro.faults import (
-    fault_simulate,
     get_modules,
-    parallel_fault_simulate,
-    parallel_transition_fault_simulate,
+    plan_campaign_shards,
     run_checkpointed_campaign,
     run_parallel_checkpointed_campaign,
-    shard_faults,
 )
-from repro.faults.observability import forwarding_pattern_sets
-from repro.faults.stuckat import collapse_with_weights, enumerate_faults
-from repro.faults.transition import (
-    enumerate_transition_faults,
-    transition_fault_simulate,
-)
+from repro.faults import parallel
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 
@@ -39,79 +29,91 @@ SCENARIOS = (
     Scenario((0, 1, 2), CodePosition.HIGH, CodeAlignment.DWORD),
 )
 
+STUCKAT = ("FWD", "HDCU", "ICU")
+TRANSITION = ("FWD-TDF",)
+
+
+def outcome_dicts(outcomes):
+    return {label: outcome.to_dict() for label, outcome in outcomes.items()}
+
+
+def serial(tmp_path_factory, modules):
+    path = tmp_path_factory.mktemp("serial") / "campaign.json"
+    return outcome_dicts(
+        run_checkpointed_campaign(
+            small_provider()(), SCENARIOS, DEFAULT_CAMPAIGN_MODELS, path,
+            modules=modules,
+        )
+    )
+
+
+def sharded(directory, modules, workers, num_shards):
+    return outcome_dicts(
+        run_parallel_checkpointed_campaign(
+            small_provider(), SCENARIOS, DEFAULT_CAMPAIGN_MODELS, directory,
+            modules=modules, workers=workers, num_shards=num_shards,
+        ).outcomes
+    )
+
 
 @pytest.fixture(scope="module")
-def fwd_port():
-    """One forwarding port's netlist + merged and ordered pattern sets
-    from a real (small) two-core run."""
-    builders = small_provider()()
-    result = run_scenario(builders, SCENARIOS[0])
-    modules = get_modules(CORE_MODEL_A)
-    log = result.per_core[0].log
-    merged = forwarding_pattern_sets(log, modules)
-    ordered = forwarding_pattern_sets(log, modules, ordered=True)
-    port = sorted(merged)[0]
-    return modules.forwarding[port], merged[port], ordered[port]
+def serial_stuckat(tmp_path_factory):
+    return serial(tmp_path_factory, STUCKAT)
 
 
-def as_tuple(result):
-    return (
-        result.module,
-        result.total_faults,
-        result.detected_faults,
-        result.num_patterns,
-    )
+@pytest.fixture(scope="module")
+def serial_forwarding(serial_campaign):
+    return outcome_dicts(serial_campaign)
+
+
+@pytest.fixture(scope="module")
+def serial_transition(tmp_path_factory):
+    return serial(tmp_path_factory, TRANSITION)
 
 
 # ----------------------------------------------------------------------
-# Fault-model equivalence across shard counts (in-process sharding).
+# Fault-model equivalence across shard counts (in-process shards).
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_stuckat_equivalence_across_shard_counts(fwd_port, num_shards):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)
-    serial = fault_simulate(netlist, patterns, faults)
-    parallel = parallel_fault_simulate(
-        netlist, patterns, faults, workers=1, num_shards=num_shards
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
+def test_stuckat_equivalence_across_shard_counts(
+    serial_stuckat, tmp_path, num_shards
+):
+    assert sharded(tmp_path, STUCKAT, 1, num_shards) == serial_stuckat
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_weighted_ppsfp_equivalence_across_shard_counts(fwd_port, num_shards):
-    netlist, patterns, _ = fwd_port
-    weighted = collapse_with_weights(netlist)
-    serial = fault_simulate(netlist, patterns, weighted)
-    parallel = parallel_fault_simulate(
-        netlist, patterns, weighted, workers=1, num_shards=num_shards
+def test_weighted_ppsfp_equivalence_across_shard_counts(
+    serial_forwarding, tmp_path, num_shards
+):
+    outcomes = sharded(tmp_path, ("FWD",), 1, num_shards)
+    assert outcomes == serial_forwarding
+    # Collapsed classes are graded once but weighted: the totals still
+    # count the uncollapsed population, two stem faults per net.
+    for outcome in outcomes.values():
+        for coverage in outcome["coverages"]:
+            modules = get_modules(DEFAULT_CAMPAIGN_MODELS[coverage["core_id"]])
+            assert coverage["total_faults"] == sum(
+                2 * netlist.num_nets for netlist in modules.forwarding.values()
+            )
+
+
+def test_default_fault_lists_match_serial_defaults(serial_forwarding, tmp_path):
+    """Omitting ``modules`` must grade the same default fault list
+    serially and sharded (the forwarding logic)."""
+    result = run_parallel_checkpointed_campaign(
+        small_provider(), SCENARIOS, DEFAULT_CAMPAIGN_MODELS, tmp_path,
+        workers=1, num_shards=7,
     )
-    assert as_tuple(parallel) == as_tuple(serial)
-    # The weighted totals must still count the uncollapsed population.
-    assert parallel.total_faults == 2 * netlist.num_nets
+    assert outcome_dicts(result.outcomes) == serial_forwarding
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_transition_equivalence_across_shard_counts(fwd_port, num_shards):
-    netlist, _, ordered = fwd_port
-    faults = enumerate_transition_faults(netlist)
-    serial = transition_fault_simulate(netlist, ordered, faults)
-    parallel = parallel_transition_fault_simulate(
-        netlist, ordered, faults, workers=1, num_shards=num_shards
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
-
-
-def test_default_fault_lists_match_serial_defaults(fwd_port):
-    """Omitting ``faults`` must grade the same default list serially
-    and in parallel (collapsed stuck-at classes)."""
-    netlist, patterns, _ = fwd_port
-    serial = fault_simulate(netlist, patterns)
-    parallel = parallel_fault_simulate(
-        netlist, patterns, workers=1, num_shards=7
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
+def test_transition_equivalence_across_shard_counts(
+    serial_transition, tmp_path, num_shards
+):
+    assert sharded(tmp_path, TRANSITION, 1, num_shards) == serial_transition
 
 
 # ----------------------------------------------------------------------
@@ -120,22 +122,14 @@ def test_default_fault_lists_match_serial_defaults(fwd_port):
 
 
 @pytest.mark.parametrize("workers,num_shards", [(2, 2), (2, 7), (4, 16)])
-def test_stuckat_equivalence_with_process_pool(fwd_port, workers, num_shards):
-    netlist, patterns, _ = fwd_port
-    serial = fault_simulate(netlist, patterns)
-    parallel = parallel_fault_simulate(
-        netlist, patterns, workers=workers, num_shards=num_shards
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
+def test_stuckat_equivalence_with_process_pool(
+    serial_stuckat, tmp_path, workers, num_shards
+):
+    assert sharded(tmp_path, STUCKAT, workers, num_shards) == serial_stuckat
 
 
-def test_transition_equivalence_with_process_pool(fwd_port):
-    netlist, _, ordered = fwd_port
-    serial = transition_fault_simulate(netlist, ordered)
-    parallel = parallel_transition_fault_simulate(
-        netlist, ordered, workers=2, num_shards=7
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
+def test_transition_equivalence_with_process_pool(serial_transition, tmp_path):
+    assert sharded(tmp_path, TRANSITION, 2, 7) == serial_transition
 
 
 # ----------------------------------------------------------------------
@@ -143,47 +137,32 @@ def test_transition_equivalence_with_process_pool(fwd_port):
 # ----------------------------------------------------------------------
 
 
-def test_empty_shards_are_harmless(fwd_port):
-    """More shards than faults leaves some shards empty; they must
-    contribute exactly (0, 0) to the merge."""
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)[:5]
-    shards = shard_faults(faults, 16)
-    assert any(not shard for shard in shards)  # genuinely empty shards
-    serial = fault_simulate(netlist, patterns, faults)
-    parallel = parallel_fault_simulate(
-        netlist, patterns, faults, workers=1, num_shards=16
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
+def test_empty_shards_are_harmless(serial_stuckat, tmp_path):
+    """More shards than scenarios leaves some shards empty; they must
+    contribute nothing to the merge."""
+    plan = plan_campaign_shards(SCENARIOS, STUCKAT, 16)
+    assert any(not shard for shard in plan.labels)  # genuinely empty
+    assert sharded(tmp_path, STUCKAT, 2, 16) == serial_stuckat
 
 
-def test_single_fault_shard(fwd_port):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)[:1]
-    serial = fault_simulate(netlist, patterns, faults)
-    parallel = parallel_fault_simulate(
-        netlist, patterns, faults, workers=1, num_shards=7
-    )
-    assert as_tuple(parallel) == as_tuple(serial)
-    assert parallel.total_faults == 1
+def test_workers_one_is_exact_serial_path(serial_stuckat, tmp_path, monkeypatch):
+    """One worker and one shard is the serial campaign itself: one
+    in-process call over every scenario, in campaign order."""
+    calls = []
+    serial_campaign = parallel.run_checkpointed_campaign
 
+    def spy(builders, scenarios, *args, **kwargs):
+        calls.append(tuple(scenarios))
+        return serial_campaign(builders, scenarios, *args, **kwargs)
 
-def test_workers_one_is_exact_serial_path(fwd_port):
-    """``workers=1`` without an explicit shard count must not shard at
-    all — it is the serial engine called through the parallel API."""
-    netlist, patterns, _ = fwd_port
-    serial = fault_simulate(netlist, patterns)
-    parallel = parallel_fault_simulate(netlist, patterns, workers=1)
-    assert as_tuple(parallel) == as_tuple(serial)
+    monkeypatch.setattr(parallel, "run_checkpointed_campaign", spy)
+    assert sharded(tmp_path, STUCKAT, 1, 1) == serial_stuckat
+    assert calls == [SCENARIOS]
 
 
 # ----------------------------------------------------------------------
 # Campaign-level equivalence: coverage dicts AND signatures.
 # ----------------------------------------------------------------------
-
-
-def outcome_dicts(outcomes):
-    return {label: outcome.to_dict() for label, outcome in outcomes.items()}
 
 
 @pytest.fixture(scope="module")

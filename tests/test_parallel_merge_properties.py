@@ -1,11 +1,13 @@
-"""Property-based tests of the coverage-merge reducer and the sharder.
+"""Property-based tests of the campaign's shard planner and merge reducer.
 
-The merge reducer must behave like integer addition over disjoint
-shards: permutation-invariant, associative under any grouping, with the
-empty shard as identity — and the sharder must produce a true partition
-(complete, disjoint, deterministic) for any fault list and shard count.
-Uses ``hypothesis`` when installed; otherwise the same properties run
-over seeded randomized cases, so the suite is meaningful without the
+The scenario is the one unit of parallel work, so the planner must
+produce a true partition of the campaign (every label in exactly one
+shard, campaign order kept inside each shard, the same plan every
+time), and the outcome-map reducer must behave like a disjoint union:
+permutation-invariant, associative under any grouping, with the empty
+map as identity, refusing a label seen in two shards.  Uses
+``hypothesis`` when installed; otherwise the same properties run over
+seeded randomized cases, so the suite is meaningful without the
 optional dependency.
 """
 
@@ -13,18 +15,16 @@ import random
 
 import pytest
 
-from repro.errors import FaultModelError
+from repro.core.determinism import Scenario
+from repro.errors import CheckpointError, FaultModelError
 from repro.faults import (
-    check_partition,
-    reduce_results,
-    shard_faults,
-    shard_seed,
+    ScenarioOutcome,
+    merge_outcome_maps,
+    plan_campaign_shards,
     stable_shard_index,
 )
-from repro.faults.parallel import fault_identity
-from repro.faults.ppsfp import FaultSimResult
-from repro.faults.stuckat import StuckAtFault
-from repro.faults.transition import TransitionFault
+from repro.faults.parallel import _merge_campaign_outcomes
+from repro.soc import CodeAlignment, CodePosition
 
 try:
     from hypothesis import given, settings
@@ -35,32 +35,46 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
 SEEDS = tuple(range(8))
+MODULES = ("FWD",)
+
+#: Every distinct scenario shape: active-core sets x placements.
+SCENARIO_SPACE = tuple(
+    Scenario(cores, position, alignment)
+    for cores in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+    for position in CodePosition
+    for alignment in CodeAlignment
+)
 
 
-def make_results(rng: random.Random, count: int) -> list[FaultSimResult]:
-    return [
-        FaultSimResult(
-            module="m",
-            total_faults=(total := rng.randint(0, 500)),
-            detected_faults=rng.randint(0, total),
-            num_patterns=17,
+def make_scenarios(rng: random.Random, count: int) -> list[Scenario]:
+    """Distinct scenarios in a random campaign order."""
+    return rng.sample(SCENARIO_SPACE, min(count, len(SCENARIO_SPACE)))
+
+
+def make_maps(rng: random.Random, count: int) -> list[dict]:
+    """Disjoint per-shard outcome maps over distinct labels."""
+    labels = [f"s{index}" for index in range(rng.randint(0, 40))]
+    maps: list[dict] = [{} for _ in range(count)]
+    for label in labels:
+        maps[rng.randrange(count)][label] = ScenarioOutcome(
+            label=label, attempts=rng.randint(1, 3)
         )
-        for _ in range(count)
-    ]
+    return maps
 
 
-def make_faults(rng: random.Random, count: int) -> list:
-    """A mixed fault list: plain stuck-at, weighted pairs, transition."""
-    faults = []
-    for index in range(count):
-        shape = rng.randrange(3)
-        if shape == 0:
-            faults.append(StuckAtFault(index, rng.randrange(2)))
-        elif shape == 1:
-            faults.append((StuckAtFault(index, rng.randrange(2)), rng.randint(1, 9)))
-        else:
-            faults.append(TransitionFault(index, rng.random() < 0.5))
-    return faults
+def assert_partition(scenarios, plan) -> None:
+    """Every label in exactly one shard, campaign order kept per shard."""
+    labels = [scenario.label for scenario in scenarios]
+    flattened = [label for shard in plan.labels for label in shard]
+    assert sorted(flattened) == sorted(labels)
+    assert len(flattened) == len(set(flattened))
+    position = {label: index for index, label in enumerate(labels)}
+    for index, shard in enumerate(plan.labels):
+        assert [position[label] for label in shard] == sorted(
+            position[label] for label in shard
+        )
+        for label in shard:
+            assert stable_shard_index(label, plan.num_shards) == index
 
 
 # ----------------------------------------------------------------------
@@ -71,114 +85,101 @@ def make_faults(rng: random.Random, count: int) -> list:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reduce_is_permutation_invariant(seed):
     rng = random.Random(seed)
-    results = make_results(rng, rng.randint(1, 12))
-    reference = reduce_results(list(results))
+    maps = make_maps(rng, rng.randint(1, 12))
+    reference = merge_outcome_maps(list(maps))
     for _ in range(5):
-        shuffled = list(results)
+        shuffled = list(maps)
         rng.shuffle(shuffled)
-        merged = reduce_results(shuffled)
-        assert (merged.total_faults, merged.detected_faults) == (
-            reference.total_faults,
-            reference.detected_faults,
-        )
+        assert merge_outcome_maps(shuffled) == reference
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_remerge_idempotence(seed):
-    """Reducing a singleton is the identity, and folding in empty-shard
-    results (the merge identity) changes nothing."""
+    """Merging a single map is the identity, and folding in empty
+    shards (the merge identity) changes nothing."""
     rng = random.Random(seed)
-    (result,) = make_results(rng, 1)
-    assert reduce_results([result]) == result
-    identity = FaultSimResult("m", 0, 0, 17)
-    padded = reduce_results([identity, result, identity, identity])
-    assert (padded.total_faults, padded.detected_faults) == (
-        result.total_faults,
-        result.detected_faults,
-    )
-    # Re-reducing an already-reduced result is stable.
-    assert reduce_results([padded]) == padded
+    (outcomes,) = make_maps(rng, 1)
+    assert merge_outcome_maps([outcomes]) == outcomes
+    padded = merge_outcome_maps([{}, outcomes, {}, {}])
+    assert padded == outcomes
+    # Re-merging an already-merged map is stable.
+    assert merge_outcome_maps([padded]) == padded
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reduce_matches_arbitrary_groupings(seed):
     """Associativity: pre-merging any contiguous grouping first gives
-    the same answer as the flat reduction."""
+    the same answer as the flat merge."""
     rng = random.Random(seed)
-    results = make_results(rng, rng.randint(2, 10))
-    flat = reduce_results(list(results))
-    cut = rng.randint(1, len(results) - 1)
-    grouped = reduce_results(
-        [reduce_results(results[:cut]), reduce_results(results[cut:])]
+    maps = make_maps(rng, rng.randint(2, 10))
+    flat = merge_outcome_maps(list(maps))
+    cut = rng.randint(1, len(maps) - 1)
+    grouped = merge_outcome_maps(
+        [merge_outcome_maps(maps[:cut]), merge_outcome_maps(maps[cut:])]
     )
-    assert (grouped.total_faults, grouped.detected_faults) == (
-        flat.total_faults,
-        flat.detected_faults,
-    )
+    assert grouped == flat
 
 
 def test_reduce_rejects_incompatible_shards():
-    a = FaultSimResult("m", 10, 5, 17)
-    with pytest.raises(FaultModelError):
-        reduce_results([a, FaultSimResult("other", 10, 5, 17)])
-    with pytest.raises(FaultModelError):
-        reduce_results([a, FaultSimResult("m", 10, 5, 3)])
-    with pytest.raises(FaultModelError):
-        reduce_results([])
+    a = {"s1": ScenarioOutcome(label="s1")}
+    with pytest.raises(CheckpointError, match="multiple shards"):
+        merge_outcome_maps([a, {"s1": ScenarioOutcome(label="s1")}])
+    with pytest.raises(CheckpointError, match="multiple shards"):
+        merge_outcome_maps([a, {}, a])
 
 
 # ----------------------------------------------------------------------
-# Sharder properties: disjoint-shard completeness.
+# Planner properties: a deterministic partition of the campaign.
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_shards_partition_the_fault_list(seed):
+def test_shards_partition_the_scenarios(seed):
     rng = random.Random(seed)
-    faults = make_faults(rng, rng.randint(0, 60))
+    scenarios = make_scenarios(rng, rng.randint(0, 60))
     num_shards = rng.choice((1, 2, 7, 16))
-    shards = shard_faults(faults, num_shards)
-    assert len(shards) == num_shards
-    check_partition(faults, shards)  # completeness + disjointness
-    # Completeness, independently of check_partition's own accounting.
-    flattened = sorted(fault_identity(item) for shard in shards for item in shard)
-    assert flattened == sorted(fault_identity(item) for item in faults)
-    # Disjointness: distinct identities never land in two shards.
-    seen: dict[str, int] = {}
-    for index, shard in enumerate(shards):
-        for item in shard:
-            identity = fault_identity(item)
-            assert seen.setdefault(identity, index) == index
-    # Weighted pairs keep their weights through sharding.
-    total_weight = sum(
-        item[1] if isinstance(item, tuple) else 1 for item in faults
-    )
-    assert total_weight == sum(
-        item[1] if isinstance(item, tuple) else 1
-        for shard in shards
-        for item in shard
-    )
+    plan = plan_campaign_shards(scenarios, MODULES, num_shards)
+    assert plan.num_shards == len(plan.labels) == num_shards
+    assert plan.modules == MODULES
+    assert_partition(scenarios, plan)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shard_assignment_is_deterministic(seed):
     rng = random.Random(seed)
-    faults = make_faults(rng, 40)
-    assert shard_faults(faults, 7) == shard_faults(list(faults), 7)
+    scenarios = make_scenarios(rng, 40)
+    first = plan_campaign_shards(scenarios, MODULES, 7)
+    assert plan_campaign_shards(list(scenarios), MODULES, 7) == first
+    # The pinned manifest form round-trips to the same plan.
+    assert type(first).from_dict(first.to_dict()) == first
 
 
-def test_check_partition_catches_loss_and_duplication():
-    faults = [StuckAtFault(n, 0) for n in range(6)]
-    shards = shard_faults(faults, 3)
-    donor = next(shard for shard in shards if shard)
-    dropped = [list(s) for s in shards]
-    dropped[shards.index(donor)] = donor[1:]
-    with pytest.raises(FaultModelError):
-        check_partition(faults, dropped)
-    duplicated = [list(s) for s in shards]
-    duplicated[0] = duplicated[0] + [donor[0]]
-    with pytest.raises(FaultModelError):
-        check_partition(faults, duplicated)
+def test_campaign_merge_catches_loss_and_duplication():
+    """Merging shard results checks the partition: a planned scenario
+    no shard returned, or one returned by two shards, raises instead of
+    shrinking or double-counting the campaign."""
+    scenarios = SCENARIO_SPACE[:6]
+    labels = [scenario.label for scenario in scenarios]
+    plan = plan_campaign_shards(scenarios, MODULES, 3)
+    completed = {
+        index: {label: ScenarioOutcome(label=label) for label in shard}
+        for index, shard in enumerate(plan.labels)
+    }
+    assert list(_merge_campaign_outcomes(labels, completed)) == labels
+    donor = next(index for index, shard in enumerate(plan.labels) if shard)
+    lost = dict(completed)
+    lost[donor] = dict(list(completed[donor].items())[1:])
+    with pytest.raises(CheckpointError, match="unaccounted"):
+        _merge_campaign_outcomes(labels, lost)
+    # ... unless the missing label is an enumerated quarantine loss.
+    missing = plan.labels[donor][0]
+    assert missing not in _merge_campaign_outcomes(
+        labels, lost, missing_ok=(missing,)
+    )
+    duplicated = dict(completed)
+    duplicated[len(plan.labels)] = dict(completed[donor])
+    with pytest.raises(CheckpointError, match="multiple shards"):
+        _merge_campaign_outcomes(labels, duplicated)
 
 
 def test_stable_shard_index_is_pinned():
@@ -195,59 +196,40 @@ def test_stable_shard_index_is_pinned():
         stable_shard_index("net0/SA0", 0)
 
 
-def test_shard_seeds_are_stable_and_distinct():
-    seeds = [shard_seed(2024, index) for index in range(16)]
-    assert seeds == [shard_seed(2024, index) for index in range(16)]
-    assert len(set(seeds)) == 16
-    assert shard_seed(2024, 0) != shard_seed(2025, 0)
-
-
 # ----------------------------------------------------------------------
 # The same properties under hypothesis, when available.
 # ----------------------------------------------------------------------
 
 if HAVE_HYPOTHESIS:
 
-    result_strategy = st.builds(
-        lambda total, frac: FaultSimResult(
-            "m", total, min(total, frac), 17
-        ),
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-    )
-
-    fault_strategy = st.one_of(
-        st.builds(StuckAtFault, st.integers(0, 999), st.integers(0, 1)),
-        st.tuples(
-            st.builds(StuckAtFault, st.integers(0, 999), st.integers(0, 1)),
-            st.integers(1, 9),
-        ),
-        st.builds(TransitionFault, st.integers(0, 999), st.booleans()),
+    #: owners[i] is the shard that holds label ``s{i}``: disjoint maps.
+    outcome_maps_strategy = st.lists(st.integers(0, 11), max_size=60).map(
+        lambda owners: [
+            {
+                f"s{i}": ScenarioOutcome(label=f"s{i}")
+                for i, owner in enumerate(owners)
+                if owner == shard
+            }
+            for shard in range(12)
+        ]
     )
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        results=st.lists(result_strategy, min_size=1, max_size=12),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_hypothesis_permutation_invariance(results, seed):
-        reference = reduce_results(list(results))
-        shuffled = list(results)
+    @given(maps=outcome_maps_strategy, seed=st.integers(0, 2**32 - 1))
+    def test_hypothesis_permutation_invariance(maps, seed):
+        reference = merge_outcome_maps(list(maps))
+        shuffled = list(maps)
         random.Random(seed).shuffle(shuffled)
-        merged = reduce_results(shuffled)
-        assert (merged.total_faults, merged.detected_faults) == (
-            reference.total_faults,
-            reference.detected_faults,
-        )
+        assert merge_outcome_maps(shuffled) == reference
 
     @settings(max_examples=50, deadline=None)
     @given(
-        faults=st.lists(fault_strategy, max_size=80),
+        scenarios=st.lists(
+            st.sampled_from(SCENARIO_SPACE), unique=True, max_size=80
+        ),
         num_shards=st.integers(1, 32),
     )
-    def test_hypothesis_partition_completeness(faults, num_shards):
-        shards = shard_faults(faults, num_shards)
-        check_partition(faults, shards)
-        assert sorted(
-            fault_identity(item) for shard in shards for item in shard
-        ) == sorted(fault_identity(item) for item in faults)
+    def test_hypothesis_partition_completeness(scenarios, num_shards):
+        plan = plan_campaign_shards(scenarios, MODULES, num_shards)
+        assert_partition(scenarios, plan)
+        assert plan_campaign_shards(scenarios, MODULES, num_shards) == plan

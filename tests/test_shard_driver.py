@@ -1,11 +1,11 @@
 """The one shard driver's execution contracts.
 
-Every sharded entry point runs through the same scheduler.  With no
-policy it is fail-fast: the first failing shard's own exception ends
-the run.  With one worker and no retry budget it never forks.  A clean
-pooled run joins its workers instead of terminating them, and every
-campaign leaves an ``orchestration_report.json`` behind, failed ones
-included.
+The parallel campaign runs its scenario shards through one scheduler.
+With no policy it is fail-fast: the first failing shard's own exception
+ends the run.  With one worker and no retry budget it never forks.  A
+clean pooled run joins its workers instead of terminating them, and
+every campaign leaves an ``orchestration_report.json`` behind, failed
+ones included.
 """
 
 import json
@@ -15,21 +15,14 @@ from functools import partial
 
 import pytest
 
-from repro.core.determinism import run_scenario
-from repro.cpu.core import CORE_MODEL_A
 from repro.faults import (
     ChaosPolicy,
     ShardChaos,
-    fault_simulate,
-    get_modules,
-    parallel_fault_simulate,
     run_checkpointed_campaign,
     run_parallel_checkpointed_campaign,
 )
 from repro.faults import orchestrator
-from repro.faults.observability import forwarding_pattern_sets
 from repro.faults.orchestrator import ORCHESTRATION_REPORT_NAME, OrchestrationReport
-from repro.faults.stuckat import enumerate_faults
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from tests.test_parallel_checkpoint import SCENARIOS, crashy_builders
 
@@ -60,16 +53,6 @@ def serial_outcomes(tmp_path_factory):
             modules=("FWD",),
         )
     )
-
-
-@pytest.fixture(scope="module")
-def fwd_port():
-    result = run_scenario(small_provider()(), SCENARIOS[0])
-    modules = get_modules(CORE_MODEL_A)
-    merged = forwarding_pattern_sets(result.per_core[0].log, modules)
-    port = sorted(merged)[0]
-    netlist = modules.forwarding[port]
-    return netlist, merged[port], enumerate_faults(netlist)[:300]
 
 
 # ----------------------------------------------------------------------
@@ -120,19 +103,11 @@ def test_fail_fast_dead_worker_raises_broken_pool(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_serial_geometry_pays_no_fork(
-    tmp_path, monkeypatch, fwd_port, serial_outcomes
-):
+def test_serial_geometry_pays_no_fork(tmp_path, monkeypatch, serial_outcomes):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-worker fail-fast run built a pool")
 
     monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", no_pool)
-    netlist, patterns, faults = fwd_port
-    sharded = parallel_fault_simulate(
-        netlist, patterns, faults, workers=1, num_shards=7
-    )
-    assert sharded.to_dict() == fault_simulate(netlist, patterns, faults).to_dict()
-
     result = run_small(tmp_path / "campaign", workers=1, num_shards=3)
     assert outcome_dicts(result.outcomes) == serial_outcomes
     assert all(a.in_process for a in result.report.attempts)

@@ -32,7 +32,7 @@ from repro.faults.campaign import (
     hdcu_coverage,
     icu_coverage,
 )
-from repro.isa.instructions import Csr, Instruction, Mnemonic
+from repro.isa.instructions import Instruction, Mnemonic
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
 from repro.soc.debugger import StallMonitor, StallReport
 from repro.soc.loader import CodeAlignment, CodePosition, placement_address

@@ -24,8 +24,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cpu.alu import branch_taken, execute_alu, execute_alu64, execute_imm
-from repro.cpu.fetch import FetchUnit
-from repro.cpu.forwarding import Resolution, resolve_register
+from repro.cpu.fetch import (
+    FMT_BRANCH,
+    FMT_CSRR,
+    FMT_CSRW,
+    FMT_I,
+    FMT_JR,
+    FMT_JUMP,
+    FMT_LOAD,
+    FMT_LUI,
+    FMT_R3,
+    FMT_STORE,
+    Decoded,
+    FetchUnit,
+)
+from repro.cpu.forwarding import (
+    EMPTY_VIEW,
+    FWD_SOURCES,
+    Resolution,
+    producer_view,
+    resolve,
+)
 from repro.cpu.hazard import can_dual_issue, unresolved_producer
 from repro.cpu.icu import Icu, IcuConfig
 from repro.cpu.memunit import MemoryUnit
@@ -44,8 +63,6 @@ from repro.isa.instructions import (
     CACHECFG_ICACHE_EN,
     CACHECFG_WRITE_ALLOCATE,
     Csr,
-    Format,
-    Instruction,
     Mnemonic,
 )
 from repro.mem.bus import SystemBus
@@ -123,6 +140,8 @@ class Core:
         self.exmem_latch: list[Uop] = []
         self.memwb_latch: list[Uop] = []
         self.retire_latch: list[Uop] = []
+        #: Producer lanes of the current issue cycle (see _try_issue).
+        self._view = EMPTY_VIEW
         # Counters (the performance counters of the case-study cores).
         self.cycles = 0
         self.instret = 0
@@ -190,13 +209,16 @@ class Core:
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        if not self.started or self.done:
+        if not self.started or (self.halted and self.done):
             return
         self.cycles += 1
         self._retire(cycle)
-        self._advance_mem(cycle)
-        self._advance_ex(cycle)
-        self._try_issue(cycle)
+        if self.memwb_latch:
+            self._advance_mem(cycle)
+        if self.exmem_latch and not self.memwb_latch:
+            self._advance_ex(cycle)
+        if not self.exmem_latch and not self.halted:
+            self._try_issue(cycle)
         self.fetch.step(cycle, self.halted)
 
     def _retire(self, cycle: int) -> None:
@@ -220,17 +242,17 @@ class Core:
                     count_before=count_before,
                 )
             )
+        if not retired:
+            return
         for uop in self.retire_latch:
             for reg in uop.dests:
                 self.regfile.write(reg, uop.dest_value(reg))
             if uop.trap_event is not None:
                 self.icu.raise_event(uop.trap_event, cycle)
-            self.instret += 1
+        self.instret += retired
         self.retire_latch = []
 
     def _advance_mem(self, cycle: int) -> None:
-        if not self.memwb_latch:
-            return
         if self.memunit.poll(cycle):
             self.retire_latch = self.memwb_latch
             self.memwb_latch = []
@@ -240,8 +262,6 @@ class Core:
             self.memstall += 1
 
     def _advance_ex(self, cycle: int) -> None:
-        if self.memwb_latch or not self.exmem_latch:
-            return
         self.memwb_latch = self.exmem_latch
         self.exmem_latch = []
         for uop in self.memwb_latch:
@@ -254,36 +274,18 @@ class Core:
     # ------------------------------------------------------------------
 
     def _try_issue(self, cycle: int) -> None:
-        if self.exmem_latch or self.halted:
-            return
         queue = self.fetch.queue
         if not queue:
             # The front end starved the issue stage: an IF stall.
             self.ifstall += 1
             return
-        pc0, i0 = queue[0]
-        if not self._operands_available(i0, cycle):
-            return
-        if i0.mnemonic is Mnemonic.SYNC and not self._sync_ready():
-            self.hazstall += 1
-            return
-        queue.pop(0)
-        first = self._issue_one(i0, pc0, slot=0, cycle=cycle)
-        if first is None:
-            return  # Redirecting jump: the packet ends here.
-        self.exmem_latch.append(first)
-        if (
-            queue
-            and can_dual_issue(i0, queue[0][1])
-            and self._second_ready(queue[0][1])
-        ):
-            pc1, i1 = queue.pop(0)
-            second = self._issue_one(i1, pc1, slot=1, cycle=cycle)
-            if second is not None:
-                self.exmem_latch.append(second)
-
-    def _operands_available(self, instr: Instruction, cycle: int) -> bool:
-        if unresolved_producer(instr, self.memwb_latch):
+        pc0, d0 = queue[0]
+        memwb = self.memwb_latch
+        view = self._view = producer_view(memwb, self.retire_latch)
+        # Only an unready load in memwb_latch (lanes EX0/EX1) can block
+        # an operand; retired-latch producers always have their data.
+        blocking = view.loads & 3
+        if blocking and unresolved_producer(d0.srcs, memwb):
             # Load-use (producer load in the EX/MEM latch) with the
             # access itself on its fast path: a true HDCU stall.  A load
             # still waiting on the bus shows up as MEM stall cycles via
@@ -291,12 +293,23 @@ class Core:
             if not self.memunit.waiting_on_bus:
                 self.hazstall += 1
                 if self.recording:
-                    self._record_hdcu_stall(instr)
-            return False
-        return True
-
-    def _second_ready(self, instr: Instruction) -> bool:
-        return not unresolved_producer(instr, self.memwb_latch)
+                    self._record_hdcu_stall(d0.srcs)
+            return
+        if d0.mnemonic is Mnemonic.SYNC and not self._sync_ready():
+            self.hazstall += 1
+            return
+        queue.pop(0)
+        self.exmem_latch.append(self._issue_one(d0, pc0, 0, cycle))
+        if not queue:
+            return
+        pc1, d1 = queue[0]
+        pairs = d0.pairs
+        pair = pairs.get(d1)
+        if pair is None:
+            pair = pairs[d1] = can_dual_issue(d0.instr, d1.instr)
+        if pair and not (blocking and unresolved_producer(d1.srcs, memwb)):
+            queue.pop(0)
+            self.exmem_latch.append(self._issue_one(d1, pc1, 1, cycle))
 
     def _sync_ready(self) -> bool:
         return (
@@ -305,85 +318,71 @@ class Core:
             and not self.memunit.busy
         )
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _issue_one(
-        self, instr: Instruction, pc: int, slot: int, cycle: int
-    ) -> Uop | None:
-        """Execute ``instr`` eagerly and return its uop (None for taken
-        jumps that produce no writeback)."""
-        spec = instr.spec
-        if spec.is_64bit and not self.model.is64:
+    def _issue_one(self, d: Decoded, pc: int, slot: int, cycle: int) -> Uop:
+        """Execute the decoded instruction ``d`` eagerly; return its uop."""
+        if d.is64 and not self.model.is64:
             raise SimulationError(
-                f"core {self.model.name} cannot execute {instr.mnemonic.value} "
+                f"core {self.model.name} cannot execute {d.mnemonic.value} "
                 "(64-bit extension is core C only)"
             )
-        uop = Uop(
-            seq=self._next_seq(),
-            pc=pc,
-            instr=instr,
-            slot=slot,
-            dests=instr.dest_regs(),
-            issue_cycle=cycle,
-        )
+        self._seq += 1
+        uop = Uop(self._seq, pc, d.instr, slot, d.dests, issue_cycle=cycle)
         if self.keep_trace:
             self.trace.append(uop)
-        fmt = spec.format
-        if fmt is Format.R3:
-            if spec.is_64bit:
-                v1 = self._resolve_wide(instr.rs1, uop, slot, 0)
-                v2 = self._resolve_wide(instr.rs2, uop, slot, 1)
-                uop.result = execute_alu64(instr.mnemonic, v1, v2)
+        fmt = d.fmt
+        if fmt == FMT_R3:
+            if d.is64:
+                v1 = self._resolve_wide(d.rs1, uop, slot, 0)
+                v2 = self._resolve_wide(d.rs2, uop, slot, 1)
+                uop.result = execute_alu64(d.mnemonic, v1, v2)
                 uop.is64 = True
             else:
-                v1 = self._resolve(instr.rs1, uop, slot, 0)
-                v2 = self._resolve(instr.rs2, uop, slot, 1)
-                uop.result, uop.trap_event = execute_alu(instr.mnemonic, v1, v2)
-        elif fmt is Format.I:
-            v1 = self._resolve(instr.rs1, uop, slot, 0)
-            uop.result = execute_imm(instr.mnemonic, v1, instr.imm)
-        elif fmt is Format.LUI:
-            uop.result = (instr.imm << 12) & MASK32
-        elif fmt is Format.LOAD:
-            base = self._resolve(instr.rs1, uop, slot, 0)
+                v1 = self._resolve(d.rs1, uop, slot, 0)
+                v2 = self._resolve(d.rs2, uop, slot, 1)
+                uop.result, uop.trap_event = execute_alu(d.mnemonic, v1, v2)
+        elif fmt == FMT_I:
+            v1 = self._resolve(d.rs1, uop, slot, 0)
+            uop.result = execute_imm(d.mnemonic, v1, d.imm)
+        elif fmt == FMT_LUI:
+            uop.result = (d.imm << 12) & MASK32
+        elif fmt == FMT_LOAD:
+            base = self._resolve(d.rs1, uop, slot, 0)
             uop.is_load = True
             uop.result_ready = False
-            uop.mem_address = (base + instr.imm) & MASK32
-            uop.mem_width = 4 if instr.mnemonic is Mnemonic.LW else 1
-        elif fmt is Format.STORE:
-            base = self._resolve(instr.rs1, uop, slot, 0)
-            data = self._resolve(instr.rs2, uop, slot, 1)
+            uop.mem_address = (base + d.imm) & MASK32
+            uop.mem_width = 4 if d.mnemonic is Mnemonic.LW else 1
+        elif fmt == FMT_STORE:
+            base = self._resolve(d.rs1, uop, slot, 0)
+            data = self._resolve(d.rs2, uop, slot, 1)
             uop.is_store = True
-            uop.mem_address = (base + instr.imm) & MASK32
-            uop.mem_width = 4 if instr.mnemonic is Mnemonic.SW else 1
+            uop.mem_address = (base + d.imm) & MASK32
+            uop.mem_width = 4 if d.mnemonic is Mnemonic.SW else 1
             uop.store_value = data if uop.mem_width == 4 else data & 0xFF
-        elif fmt is Format.BRANCH:
-            v1 = self._resolve(instr.rs1, uop, slot, 0)
-            v2 = self._resolve(instr.rs2, uop, slot, 1)
-            if branch_taken(instr.mnemonic, v1, v2):
-                self.fetch.redirect((pc + 4 * instr.imm) & MASK32)
-        elif fmt is Format.JUMP:
-            if instr.mnemonic is Mnemonic.JAL:
+        elif fmt == FMT_BRANCH:
+            v1 = self._resolve(d.rs1, uop, slot, 0)
+            v2 = self._resolve(d.rs2, uop, slot, 1)
+            if branch_taken(d.mnemonic, v1, v2):
+                self.fetch.redirect((pc + 4 * d.imm) & MASK32)
+        elif fmt == FMT_JUMP:
+            if d.mnemonic is Mnemonic.JAL:
                 uop.result = (pc + 4) & MASK32
-            self.fetch.redirect(4 * instr.imm)
-        elif fmt is Format.JR:
-            target = self._resolve(instr.rs1, uop, slot, 0)
+            self.fetch.redirect(4 * d.imm)
+        elif fmt == FMT_JR:
+            target = self._resolve(d.rs1, uop, slot, 0)
             self.fetch.redirect(target & ~3)
-        elif instr.mnemonic is Mnemonic.CSRR:
-            uop.result = self._csr_read(instr.csr)
-        elif instr.mnemonic is Mnemonic.CSRW:
-            v1 = self._resolve(instr.rs1, uop, slot, 0)
-            self._csr_write(instr.csr, v1)
-        elif instr.mnemonic is Mnemonic.HALT:
+        elif fmt == FMT_CSRR:
+            uop.result = self._csr_read(d.csr)
+        elif fmt == FMT_CSRW:
+            v1 = self._resolve(d.rs1, uop, slot, 0)
+            self._csr_write(d.csr, v1)
+        elif d.mnemonic is Mnemonic.HALT:
             self.halted = True
             telemetry = self.telemetry
             if telemetry.enabled:
                 telemetry.emit(EventKind.CORE_HALT, core=self.core_id, pc=pc)
-        elif instr.mnemonic is Mnemonic.ICINV:
+        elif d.mnemonic is Mnemonic.ICINV:
             self.icache.invalidate_all()
-        elif instr.mnemonic is Mnemonic.DCINV:
+        elif d.mnemonic is Mnemonic.DCINV:
             self.dcache.invalidate_all()
         # NOP and SYNC have no effect at this point.
         return uop
@@ -393,151 +392,99 @@ class Core:
     # ------------------------------------------------------------------
 
     def _resolve(self, reg: int, uop: Uop, slot: int, operand: int) -> int:
-        res = resolve_register(
-            reg, self.memwb_latch, self.retire_latch, self.regfile
+        select, candidates, valid, ready = resolve(
+            reg, self._view.producers, self.regfile.read(reg)
         )
-        if not res.ready:  # pragma: no cover - guarded by unresolved_producer
+        if not ready:  # pragma: no cover - guarded by unresolved_producer
             raise SimulationError(f"issued {uop.instr} with unresolved r{reg}")
-        uop.fwd_selects.append(res.select)
+        uop.fwd_selects.append(FWD_SOURCES[select])
         if self.recording:
-            self._record(reg, res, slot, operand, width=32, high=None)
-        return self._apply_injection(slot, operand, res)
-
-    def _resolve_wide(self, reg: int, uop: Uop, slot: int, operand: int) -> int:
-        low = resolve_register(
-            reg, self.memwb_latch, self.retire_latch, self.regfile
-        )
-        high = resolve_register(
-            reg + 1, self.memwb_latch, self.retire_latch, self.regfile
-        )
-        if not (low.ready and high.ready):  # pragma: no cover
-            raise SimulationError(f"issued {uop.instr} with unresolved pair r{reg}")
-        uop.fwd_selects.append(low.select)
-        if self.recording:
-            self._record(reg, low, slot, operand, width=64, high=high)
-        return low.value | (high.value << 32)
-
-    def _apply_injection(self, slot: int, operand: int, res: Resolution) -> int:
-        """Corrupt the resolved operand according to the armed fault.
-
-        Only the value delivered to execution changes; the activation
-        record keeps the fault-free view (fault grading always runs
-        against the fault-free logic simulation, as in the paper's flow).
-        """
+            self._record(reg, select, candidates, valid, slot, operand, 32)
         fault = self.injected_fault
         if fault is None:
-            return res.value
+            return candidates[select]
+        # Only the value delivered to execution changes; the activation
+        # record keeps the fault-free view (fault grading always runs
+        # against the fault-free logic simulation, as in the paper's flow).
+        res = Resolution(
+            candidates[select], FWD_SOURCES[select], True, candidates, valid
+        )
         if hasattr(fault, "apply_resolution"):
             return fault.apply_resolution(slot, operand, res)
         return fault.apply(slot, operand, res.select, res.value)
 
+    def _resolve_wide(self, reg: int, uop: Uop, slot: int, operand: int) -> int:
+        producers = self._view.producers
+        read = self.regfile.read
+        select, low, valid, low_ready = resolve(reg, producers, read(reg))
+        high_select, high, _, high_ready = resolve(
+            reg + 1, producers, read(reg + 1)
+        )
+        if not (low_ready and high_ready):  # pragma: no cover
+            raise SimulationError(f"issued {uop.instr} with unresolved pair r{reg}")
+        uop.fwd_selects.append(FWD_SOURCES[select])
+        candidates = tuple(lo | (hi << 32) for lo, hi in zip(low, high))
+        if self.recording:
+            self._record(reg, select, candidates, valid, slot, operand, 64)
+        return low[select] | (high[high_select] << 32)
+
     def _record(
         self,
         reg: int,
-        res: Resolution,
+        select: int,
+        candidates: tuple[int, int, int, int, int],
+        valid: int,
         slot: int,
         operand: int,
         width: int,
-        high: Resolution | None,
     ) -> None:
-        observable = bool(self.testwin & 1)
-        if width == 64 and high is not None:
-            candidates = tuple(
-                lo | (hi << 32)
-                for lo, hi in zip(res.candidates, high.candidates)
-            )
-            valid_mask = res.valid_mask
-        else:
-            candidates = res.candidates
-            valid_mask = res.valid_mask
+        testwin = self.testwin
+        observable = bool(testwin & 1)
+        source = FWD_SOURCES[select]
         self.log.forwarding.append(
             ForwardingRecord(
-                slot=slot,
-                operand=operand,
-                select=res.select,
-                candidates=candidates,
-                valid_mask=valid_mask,
-                width=width,
-                observable=observable,
-                observable_high=bool(self.testwin & 2),
+                slot, operand, source, candidates, valid, width, observable,
+                bool(testwin & 2),
             )
         )
-        chosen = candidates[int(res.select)]
-        flip_mask = 0
-        for source in range(5):
-            if source != int(res.select) and candidates[source] != chosen:
-                flip_mask |= 1 << source
+        # Which other mux inputs carry a different value (a select-line
+        # fault on them would be visible through the datapath).
+        chosen = candidates[select]
+        rf, ex0, ex1, mem0, mem1 = candidates
+        flip_mask = (
+            (rf != chosen)
+            | (ex0 != chosen) << 1
+            | (ex1 != chosen) << 2
+            | (mem0 != chosen) << 3
+            | (mem1 != chosen) << 4
+        )
+        view = self._view
         self.log.hdcu.append(
             HdcuRecord(
-                consumer_reg=reg,
-                producer_regs=self._producer_regs(),
-                producer_valid=self._producer_valid(),
-                select=res.select,
-                stall=False,
-                flip_visible_mask=flip_mask,
-                observable=observable,
-                stall_observable=self.stall_observable and observable,
-                slot=slot,
-                operand=operand,
-                producer_load_mask=self._producer_load_mask(),
+                reg, view.regs, view.valid, source, False, flip_mask,
+                observable, self.stall_observable and observable, slot,
+                operand, view.loads,
             )
         )
 
-    def _record_hdcu_stall(self, instr: Instruction) -> None:
+    def _record_hdcu_stall(self, sources: tuple[int, ...]) -> None:
         # Record the register that is actually blocked (the one produced
         # by the unready load), so the netlist's comparators match.
         blocked = 0
-        for reg in instr.source_regs():
+        for reg in sources:
             for latch in (self.memwb_latch, self.retire_latch):
                 for uop in latch:
                     if not uop.result_ready and reg in uop.dests:
                         blocked = reg
+        observable = bool(self.testwin & 1)
+        view = self._view
         self.log.hdcu.append(
             HdcuRecord(
-                consumer_reg=blocked,
-                producer_regs=self._producer_regs(),
-                producer_valid=self._producer_valid(),
-                select=FwdSource.RF,
-                stall=True,
-                flip_visible_mask=0,
-                observable=bool(self.testwin & 1),
-                stall_observable=self.stall_observable and bool(self.testwin & 1),
-                producer_load_mask=self._producer_load_mask(),
+                blocked, view.regs, view.valid, FwdSource.RF, True, 0,
+                observable, self.stall_observable and observable,
+                producer_load_mask=view.loads,
             )
         )
-
-    def _producer_regs(self) -> tuple[int, int, int, int]:
-        regs = []
-        for latch in (self.memwb_latch, self.retire_latch):
-            for slot in (0, 1):
-                producer = next(
-                    (u for u in latch if u.slot == slot and u.dests), None
-                )
-                regs.append(producer.dests[0] if producer else 0)
-        return tuple(regs)
-
-    def _producer_load_mask(self) -> int:
-        mask = 0
-        index = 0
-        for latch in (self.memwb_latch, self.retire_latch):
-            for slot in (0, 1):
-                if any(
-                    u.slot == slot and u.is_load and not u.result_ready
-                    for u in latch
-                ):
-                    mask |= 1 << index
-                index += 1
-        return mask
-
-    def _producer_valid(self) -> int:
-        mask = 0
-        index = 0
-        for latch in (self.memwb_latch, self.retire_latch):
-            for slot in (0, 1):
-                if any(u.slot == slot and u.dests for u in latch):
-                    mask |= 1 << index
-                index += 1
-        return mask
 
     # ------------------------------------------------------------------
     # CSRs.

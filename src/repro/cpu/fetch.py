@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from repro.errors import BusError, MemoryError_
 from repro.isa.encoding import decode
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Format, Instruction
 from repro.mem.bus import SystemBus, Transaction, TxnKind
 from repro.mem.cache import Cache
 from repro.mem.memmap import MemoryMap, is_cacheable
@@ -34,9 +34,57 @@ from repro.mem.tcm import Tcm
 from repro.telemetry.events import NULL_SINK, EventKind
 
 
+#: Integer format codes of :class:`Decoded` (``Format`` member order).
+(
+    FMT_R3,
+    FMT_I,
+    FMT_LUI,
+    FMT_LOAD,
+    FMT_STORE,
+    FMT_BRANCH,
+    FMT_JUMP,
+    FMT_JR,
+    FMT_CSRR,
+    FMT_CSRW,
+    FMT_SYS,
+) = range(len(Format))
+_FORMAT_CODE = {fmt: code for code, fmt in enumerate(Format)}
+
+
+class Decoded:
+    """A fetched word decoded once, flattened for the issue stage.
+
+    Entries are memoised per word, so issue and hazard checks read plain
+    fields instead of recomputing ``Instruction.spec``, ``source_regs()``
+    and ``dest_regs()`` every cycle.  ``pairs`` memoises the dual-issue
+    verdict against each entry that followed this one in a packet; the
+    verdict depends on the two instructions alone, so every core and SoC
+    may share it.
+    """
+
+    __slots__ = (
+        "instr", "mnemonic", "fmt", "is64", "rs1", "rs2", "imm", "csr",
+        "srcs", "dests", "pairs",
+    )
+
+    def __init__(self, instr: Instruction):
+        spec = instr.spec
+        self.instr = instr
+        self.mnemonic = instr.mnemonic
+        self.fmt = _FORMAT_CODE[spec.format]
+        self.is64 = spec.is_64bit
+        self.rs1 = instr.rs1
+        self.rs2 = instr.rs2
+        self.imm = instr.imm
+        self.csr = instr.csr
+        self.srcs = instr.source_regs()
+        self.dests = instr.dest_regs()
+        self.pairs: dict[Decoded, bool] = {}
+
+
 @lru_cache(maxsize=65536)
-def _decode_word(word: int) -> Instruction:
-    return decode(word)
+def _decode_word(word: int) -> Decoded:
+    return Decoded(decode(word))
 
 
 class FetchUnit:
@@ -65,7 +113,7 @@ class FetchUnit:
         self.itcm = itcm
         self.icache_enabled = False
         self.fetch_pc = 0
-        self.queue: list[tuple[int, Instruction]] = []
+        self.queue: list[tuple[int, Decoded]] = []
         #: In-flight fetch transactions, oldest first.  Entries are
         #: (txn, pc, is_fill, discard).
         self._inflight: deque[list] = deque()
@@ -103,15 +151,18 @@ class FetchUnit:
 
     def step(self, cycle: int, halted: bool) -> None:
         """Collect completed fetches (in order) and launch new ones."""
-        self._collect(cycle)
-        if halted:
+        if self._inflight:
+            self._collect(cycle)
+        # A queue with fewer than two free entries takes no fetch on any
+        # path (the uncached path needs four).
+        if halted or len(self.queue) > self.QUEUE_CAPACITY - 2:
             return
         pc = self.fetch_pc
         if self.itcm.contains(pc):
-            if not self._inflight and len(self.queue) <= self.QUEUE_CAPACITY - 2:
+            if not self._inflight:
                 self._fetch_from_tcm(pc)
         elif self.icache_enabled and is_cacheable(pc):
-            if not self._inflight and len(self.queue) <= self.QUEUE_CAPACITY - 2:
+            if not self._inflight:
                 self._fetch_from_cache(pc, cycle)
         else:
             self._fetch_uncached(cycle)
@@ -181,8 +232,7 @@ class FetchUnit:
             return
         # An 8-byte fetch group never crosses a cache line, so once the
         # first word hits the whole group is resident.
-        for _ in range(self._group_words(pc)):
-            word = self.icache.read(pc)
+        for word in self.icache.read_words(pc, self._group_words(pc)):
             self.queue.append((pc, _decode_word(word)))
             pc += 4
         self.fetch_pc = pc

@@ -23,10 +23,15 @@ stuck-at fault on that path goes undetected — Fig. 1b of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.cpu.recording import FwdSource
 from repro.cpu.state import RegFile
 from repro.cpu.uop import Uop
+
+#: ``FwdSource`` members indexed by their integer select code.
+FWD_SOURCES = tuple(FwdSource)
 
 
 @dataclass
@@ -42,11 +47,99 @@ class Resolution:
     valid_mask: int
 
 
-def _producer_in(stage: list[Uop], slot: int, reg: int) -> Uop | None:
-    for uop in stage:
-        if uop.slot == slot and reg in uop.dests:
-            return uop
-    return None
+class ProducerView(NamedTuple):
+    """The four producer lanes (EX0, EX1, MEM0, MEM1) as issue sees them.
+
+    Lane i (bit i, ``FwdSource`` i + 1) is one slot of one latch; the
+    latches only change at stage boundaries, so one view serves every
+    operand resolved and every HDCU decision recorded in a cycle.
+    """
+
+    #: ``(source, uop)`` for every in-flight writer, youngest lane first.
+    producers: tuple[tuple[int, Uop], ...]
+    #: First destination register per lane (0 when the lane writes none).
+    regs: tuple[int, int, int, int]
+    #: Bit i set when lane i holds a register writer.
+    valid: int
+    #: Bit i set when lane i holds a load whose data has not returned.
+    loads: int
+
+
+EMPTY_VIEW = ProducerView((), (0, 0, 0, 0), 0, 0)
+_source = itemgetter(0)
+
+
+def producer_view(
+    ex_source_latch: list[Uop], mem_source_latch: list[Uop]
+) -> ProducerView:
+    """Scan both latches once and return their :class:`ProducerView`.
+
+    ``ex_source_latch`` holds the packet issued one cycle before the
+    consumer (its result sits on the EX/MEM boundary: the EX->EX paths);
+    ``mem_source_latch`` the packet issued two cycles before (MEM/WB
+    boundary: the MEM->EX paths).
+    """
+    if not ex_source_latch and not mem_source_latch:
+        return EMPTY_VIEW
+    producers = []
+    regs = [0, 0, 0, 0]
+    valid = loads = 0
+    for first_lane, latch in ((0, ex_source_latch), (2, mem_source_latch)):
+        for uop in latch:
+            lane = first_lane + uop.slot
+            bit = 1 << lane
+            if uop.dests:
+                producers.append((lane + 1, uop))
+                if not valid & bit:
+                    valid |= bit
+                    regs[lane] = uop.dests[0]
+            if uop.is_load and not uop.result_ready:
+                loads |= bit
+    if len(producers) > 1:
+        producers.sort(key=_source)
+    return ProducerView(tuple(producers), tuple(regs), valid, loads)
+
+
+def resolve(
+    reg: int, producers: tuple[tuple[int, Uop], ...], rf_value: int
+) -> tuple[int, tuple[int, int, int, int, int], int, bool]:
+    """Resolve one architectural register through the forwarding muxes.
+
+    Returns ``(select, candidates, valid_mask, ready)``; the operand
+    value is ``candidates[select]``.  A producer three or more packets
+    ahead has already written the register file when issue runs, so the
+    plain RF read (``rf_value``) covers it — no forwarding path is
+    excited, which is the paper's Fig. 1b broken-forwarding case.
+    Priority is youngest-first.  ``ready`` is False when the youngest
+    matching producer is a load whose data has not returned yet: the
+    issue logic must stall (the HDCU's "forwarding not possible" case).
+    """
+    candidates = None
+    select = 0
+    valid = 1  # RF is always a valid source.
+    seen = 0
+    for source, uop in producers:
+        if reg not in uop.dests:
+            continue
+        bit = 1 << source
+        if seen & bit:
+            continue  # Each mux input carries one producer per lane.
+        seen |= bit
+        if not uop.result_ready:
+            if not select:
+                return source, (rf_value, 0, 0, 0, 0), valid, False
+            continue
+        if candidates is None:
+            candidates = [rf_value, 0, 0, 0, 0]
+        candidates[source] = uop.dest_value(reg)
+        valid |= bit
+        if not select:
+            select = source
+    if candidates is None:
+        return 0, (rf_value, 0, 0, 0, 0), 1, True
+    if reg == 0:
+        select = 0
+    return select, tuple(candidates), valid, True
 
 
 def resolve_register(
@@ -55,46 +148,10 @@ def resolve_register(
     mem_source_latch: list[Uop],
     regfile: RegFile,
 ) -> Resolution:
-    """Resolve one architectural register through the forwarding muxes.
-
-    ``ex_source_latch`` holds the packet issued one cycle before the
-    consumer (its result sits on the EX/MEM boundary: the EX->EX paths);
-    ``mem_source_latch`` the packet issued two cycles before (MEM/WB
-    boundary: the MEM->EX paths).  A producer three or more packets
-    ahead has already written the register file when issue runs, so the
-    plain RF read covers it — no forwarding path is excited, which is
-    the paper's Fig. 1b broken-forwarding case.  Priority is
-    youngest-first.  ``ready`` is False when the youngest matching
-    producer is a load whose data has not returned yet: the issue logic
-    must stall (the HDCU's "forwarding not possible" case).
-    """
-    rf_value = regfile.read(reg)
-    candidates = [rf_value, 0, 0, 0, 0]
-    valid_mask = 1  # RF is always a valid source.
-    chosen: tuple[FwdSource, Uop] | None = None
-    sources = (
-        (FwdSource.EX0, ex_source_latch, 0),
-        (FwdSource.EX1, ex_source_latch, 1),
-        (FwdSource.MEM0, mem_source_latch, 0),
-        (FwdSource.MEM1, mem_source_latch, 1),
+    """:func:`resolve` over two latches, as a :class:`Resolution`."""
+    view = producer_view(ex_source_latch, mem_source_latch)
+    select, candidates, valid, ready = resolve(
+        reg, view.producers, regfile.read(reg)
     )
-    for source, stage, slot in sources:
-        producer = _producer_in(stage, slot, reg)
-        if producer is None:
-            continue
-        if not producer.result_ready:
-            if chosen is None:
-                return Resolution(0, source, False, tuple(candidates), valid_mask)
-            continue
-        candidates[int(source)] = producer.dest_value(reg)
-        valid_mask |= 1 << int(source)
-        if chosen is None:
-            chosen = (source, producer)
-    if reg == 0:
-        return Resolution(0, FwdSource.RF, True, tuple(candidates), valid_mask)
-    if chosen is None:
-        return Resolution(rf_value, FwdSource.RF, True, tuple(candidates), valid_mask)
-    source, producer = chosen
-    return Resolution(
-        producer.dest_value(reg), source, True, tuple(candidates), valid_mask
-    )
+    value = candidates[select] if ready else 0
+    return Resolution(value, FWD_SOURCES[select], ready, candidates, valid)

@@ -36,27 +36,27 @@ def can_dual_issue(first: Instruction, second: Instruction) -> bool:
         return False
     if spec1.is_mem or spec1.is_mul:
         return False
-    dests0 = set(first.dest_regs())
-    if dests0 & set(second.source_regs()):
-        return False
-    if dests0 & set(second.dest_regs()):
-        return False
+    dests0 = first.dest_regs()
+    if not dests0:
+        return True
+    for reg in second.source_regs() + second.dest_regs():
+        if reg in dests0:
+            return False
     return True
 
 
-def unresolved_producer(instr: Instruction, *latches: list[Uop]) -> bool:
-    """True when a needed producer has no result yet.
+def unresolved_producer(sources: tuple[int, ...], *latches: list[Uop]) -> bool:
+    """True when a producer of one of ``sources`` has no result yet.
 
     This covers the classic load-use hazard (a load one packet ahead
     whose data arrives at the end of MEM) and loads still waiting on the
     bus: in both cases the HDCU must stall issue because forwarding is
     not possible yet.
     """
-    sources = set(instr.source_regs())
-    if not sources:
-        return False
     for latch in latches:
         for uop in latch:
-            if not uop.result_ready and sources & set(uop.dests):
-                return True
+            if not uop.result_ready:
+                for reg in uop.dests:
+                    if reg in sources:
+                        return True
     return False

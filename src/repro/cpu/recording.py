@@ -15,12 +15,17 @@ it around the *execution loop* only, so loading-loop activity exists in
 the record (it shapes cache state) but cannot detect faults — exactly
 the paper's rule that the first iteration must not contribute to the
 signature.
+
+Records are immutable named tuples: the pipeline appends two per
+resolved operand, so their construction sits on the simulator's hot
+path.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class FwdSource(enum.IntEnum):
@@ -36,8 +41,7 @@ class FwdSource(enum.IntEnum):
 NUM_FWD_SOURCES = len(FwdSource)
 
 
-@dataclass(frozen=True)
-class ForwardingRecord:
+class ForwardingRecord(NamedTuple):
     """One resolution of one EX-stage operand through the forwarding muxes.
 
     Attributes:
@@ -64,8 +68,7 @@ class ForwardingRecord:
     observable_high: bool = False
 
 
-@dataclass(frozen=True)
-class HdcuRecord:
+class HdcuRecord(NamedTuple):
     """One issue-time decision of the hazard-detection control unit.
 
     The comparator inputs are register indices of the consuming operand
@@ -94,8 +97,7 @@ class HdcuRecord:
     producer_load_mask: int = 0
 
 
-@dataclass(frozen=True)
-class IcuRecord:
+class IcuRecord(NamedTuple):
     """One ICU recognition as seen by the self-test procedure."""
 
     event_vector: int

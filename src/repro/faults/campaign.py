@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.cpu.core import CoreModel
 from repro.cpu.recording import ActivationLog
 from repro.errors import CheckpointCorruptionWarning, CheckpointError, ReproError
-from repro.faults.generators import CoreModules, get_modules
+from repro.faults.generators import get_modules
 from repro.faults.observability import (
     forwarding_pattern_sets,
     hdcu_pattern_sets,

@@ -113,6 +113,12 @@ class Cache:
             [_Line() for _ in range(config.ways)] for _ in range(config.num_sets)
         ]
         self._lru = [list(range(config.ways)) for _ in range(config.num_sets)]
+        # Every dimension is a power of two, so an address splits with
+        # shifts and masks: [tag | set index | word index | byte].
+        self._line_bits = config.line_bytes.bit_length() - 1
+        self._set_mask = config.num_sets - 1
+        self._tag_shift = self._line_bits + config.num_sets.bit_length() - 1
+        self._offset_mask = config.line_bytes - 1
         self.stats = CacheStats()
         #: Telemetry sink (no-op unless a TelemetrySession is attached)
         #: and the core id events are attributed to while attached.
@@ -124,16 +130,18 @@ class Cache:
     # ------------------------------------------------------------------
 
     def _decompose(self, address: int) -> tuple[int, int, int]:
-        line = align_down(address, self.config.line_bytes)
-        set_index = (line // self.config.line_bytes) % self.config.num_sets
-        tag = line // (self.config.line_bytes * self.config.num_sets)
-        return tag, set_index, (address - line) // 4
+        return (
+            address >> self._tag_shift,
+            (address >> self._line_bits) & self._set_mask,
+            (address & self._offset_mask) >> 2,
+        )
 
-    def _find(self, address: int) -> tuple[int, int] | None:
-        tag, set_index, _ = self._decompose(address)
+    def _find(self, address: int) -> tuple[int, int, int] | None:
+        """``(set index, way, word index)`` of a resident address."""
+        tag, set_index, word_index = self._decompose(address)
         for way, line in enumerate(self._sets[set_index]):
             if line.valid and line.tag == tag:
-                return set_index, way
+                return set_index, way, word_index
         return None
 
     def _touch(self, set_index: int, way: int) -> None:
@@ -173,15 +181,31 @@ class Cache:
             raise MemoryError_(
                 f"{self.config.name}: read of {address:#010x} is not resident"
             )
-        set_index, way = location
+        set_index, way, word_index = location
         self._touch(set_index, way)
-        _, _, word_index = self._decompose(address)
         word = self._sets[set_index][way].words[word_index]
         if width == 4:
             return word
         if width == 1:
             return (word >> (8 * (address & 3))) & 0xFF
         raise MemoryError_(f"unsupported access width {width}")
+
+    def read_words(self, address: int, count: int) -> list[int]:
+        """Read ``count`` consecutive words of one resident line."""
+        location = self._find(address)
+        if location is None:
+            raise MemoryError_(
+                f"{self.config.name}: read of {address:#010x} is not resident"
+            )
+        set_index, way, word_index = location
+        self._touch(set_index, way)
+        words = self._sets[set_index][way].words[word_index:word_index + count]
+        if len(words) != count:
+            raise MemoryError_(
+                f"{self.config.name}: {count} words at {address:#010x} "
+                "cross a line boundary"
+            )
+        return words
 
     def write(self, address: int, value: int, width: int = 4) -> None:
         """Write into a resident line (marks it dirty)."""
@@ -190,10 +214,9 @@ class Cache:
             raise MemoryError_(
                 f"{self.config.name}: write to {address:#010x} is not resident"
             )
-        set_index, way = location
+        set_index, way, word_index = location
         self._touch(set_index, way)
         line = self._sets[set_index][way]
-        _, _, word_index = self._decompose(address)
         if width == 4:
             line.words[word_index] = value & 0xFFFF_FFFF
         elif width == 1:
@@ -318,7 +341,7 @@ class Cache:
             )
         if not 0 <= bit < 32:
             raise MemoryError_(f"{self.config.name}: bit index {bit} out of range")
-        set_index, way = location
+        set_index, way, _ = location
         line = self._sets[set_index][way]
         line.words[word_index] ^= 1 << bit
         self.stats.soft_error_flips += 1

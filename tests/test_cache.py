@@ -34,6 +34,17 @@ def test_miss_then_hit():
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
+def test_read_words_matches_word_reads_within_one_line():
+    cache = Cache(SMALL)
+    make_resident(cache, 0x40)
+    assert cache.read_words(0x48, 2) == [cache.read(0x48), cache.read(0x4C)]
+    assert cache.read_words(0x40, 8) == _fill_words(0x40)
+    with pytest.raises(MemoryError_):
+        cache.read_words(0x5C, 2)  # the second word is in the next line
+    with pytest.raises(MemoryError_):
+        cache.read_words(0x80, 1)
+
+
 def test_read_resident_word_and_byte():
     cache = Cache(SMALL)
     make_resident(cache, 0x40)

@@ -70,6 +70,6 @@ def test_unresolved_producer_detects_pending_load():
     )
     consumer = ins(Mnemonic.ADD, 6, 5, 7)
     other = ins(Mnemonic.ADD, 6, 8, 7)
-    assert unresolved_producer(consumer, [load])
-    assert not unresolved_producer(other, [load])
-    assert not unresolved_producer(ins(Mnemonic.NOP), [load])
+    assert unresolved_producer(consumer.source_regs(), [load])
+    assert not unresolved_producer(other.source_regs(), [load])
+    assert not unresolved_producer(ins(Mnemonic.NOP).source_regs(), [load])

@@ -209,17 +209,42 @@ class Core:
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        fetch = self.fetch
+        wait = fetch.wait
+        if wait is not None:
+            # A drained core whose only possible change is its oldest
+            # fetch completing: the full step would be an IF stall.
+            if not wait.done and not self.icu.pending:
+                self.cycles += 1
+                self.ifstall += 1
+                return
+            fetch.wait = None
         if not self.started or (self.halted and self.done):
             return
         self.cycles += 1
-        self._retire(cycle)
+        if self.retire_latch or self.icu.pending:
+            self._retire(cycle)
         if self.memwb_latch:
             self._advance_mem(cycle)
         if self.exmem_latch and not self.memwb_latch:
             self._advance_ex(cycle)
         if not self.exmem_latch and not self.halted:
-            self._try_issue(cycle)
-        self.fetch.step(cycle, self.halted)
+            if fetch.queue:
+                self._try_issue(cycle)
+            else:
+                # The front end starved the issue stage: an IF stall.
+                self.ifstall += 1
+        fetch.step(cycle, self.halted)
+        if not (
+            fetch.queue
+            or self.retire_latch
+            or self.memwb_latch
+            or self.exmem_latch
+            or self.halted
+            or self.memunit.busy
+            or self.icu.pending
+        ):
+            fetch.wait = fetch.stalled_on()
 
     def _retire(self, cycle: int) -> None:
         retired = len(self.retire_latch)
@@ -275,10 +300,6 @@ class Core:
 
     def _try_issue(self, cycle: int) -> None:
         queue = self.fetch.queue
-        if not queue:
-            # The front end starved the issue stage: an IF stall.
-            self.ifstall += 1
-            return
         pc0, d0 = queue[0]
         memwb = self.memwb_latch
         view = self._view = producer_view(memwb, self.retire_latch)

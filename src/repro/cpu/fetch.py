@@ -117,6 +117,9 @@ class FetchUnit:
         #: In-flight fetch transactions, oldest first.  Entries are
         #: (txn, pc, is_fill, discard).
         self._inflight: deque[list] = deque()
+        #: The in-flight fetch the core waits on instead of stepping (see
+        #: :meth:`stalled_on`), or None.
+        self.wait: Transaction | None = None
         #: Telemetry sink (no-op unless a TelemetrySession is attached).
         self.telemetry = NULL_SINK
 
@@ -137,6 +140,7 @@ class FetchUnit:
             )
         self.fetch_pc = pc
         self.queue.clear()
+        self.wait = None
         for entry in self._inflight:
             entry[3] = True  # discard on completion
 
@@ -151,7 +155,8 @@ class FetchUnit:
 
     def step(self, cycle: int, halted: bool) -> None:
         """Collect completed fetches (in order) and launch new ones."""
-        if self._inflight:
+        inflight = self._inflight
+        if inflight and inflight[0][0].done:
             self._collect(cycle)
         # A queue with fewer than two free entries takes no fetch on any
         # path (the uncached path needs four).
@@ -159,13 +164,30 @@ class FetchUnit:
             return
         pc = self.fetch_pc
         if self.itcm.contains(pc):
-            if not self._inflight:
+            if not inflight:
                 self._fetch_from_tcm(pc)
         elif self.icache_enabled and is_cacheable(pc):
-            if not self._inflight:
+            if not inflight:
                 self._fetch_from_cache(pc, cycle)
-        else:
+        elif len(inflight) < self.UNCACHED_PIPELINE:
             self._fetch_uncached(cycle)
+
+    def stalled_on(self) -> Transaction | None:
+        """The oldest in-flight fetch if no new fetch can start before it
+        completes (I-TCM and I-cache paths: anything in flight; uncached
+        path: a full stream or no queue room), else None."""
+        inflight = self._inflight
+        if not inflight:
+            return None
+        pc = self.fetch_pc
+        if not (
+            self.itcm.contains(pc) or (self.icache_enabled and is_cacheable(pc))
+        ) and (
+            len(inflight) < self.UNCACHED_PIPELINE
+            and len(self.queue) + self._pending_words() <= self.QUEUE_CAPACITY - 4
+        ):
+            return None
+        return inflight[0][0]
 
     def _collect(self, cycle: int) -> None:
         while self._inflight and self._inflight[0][0].done:
@@ -216,7 +238,10 @@ class FetchUnit:
         self.fetch_pc = pc
 
     def _fetch_from_cache(self, pc: int, cycle: int) -> None:
-        if not self.icache.lookup(pc):
+        # An 8-byte fetch group never crosses a cache line, so once the
+        # first word hits the whole group is resident.
+        words = self.icache.lookup_words(pc, self._group_words(pc))
+        if words is None:
             plan = self.icache.prepare_fill(pc)
             # Instruction lines are never dirty; only the fill is needed.
             txn = self.bus.submit(
@@ -230,17 +255,17 @@ class FetchUnit:
             )
             self._inflight.append([txn, pc, True, False])
             return
-        # An 8-byte fetch group never crosses a cache line, so once the
-        # first word hits the whole group is resident.
-        for word in self.icache.read_words(pc, self._group_words(pc)):
+        for word in words:
             self.queue.append((pc, _decode_word(word)))
             pc += 4
         self.fetch_pc = pc
 
+    def _pending_words(self) -> int:
+        """Words the in-flight (not discarded) fetches will deliver."""
+        return sum(entry[0].burst_words for entry in self._inflight if not entry[3])
+
     def _fetch_uncached(self, cycle: int) -> None:
-        pending_words = sum(
-            entry[0].burst_words for entry in self._inflight if not entry[3]
-        )
+        pending_words = self._pending_words()
         while (
             len(self._inflight) < self.UNCACHED_PIPELINE
             and len(self.queue) + pending_words <= self.QUEUE_CAPACITY - 4

@@ -64,7 +64,8 @@ class Icu:
 
     def __init__(self, config: IcuConfig):
         self.config = config
-        self._pending: list[_Pending] = []
+        #: Events delivered but not yet recognised, oldest first.
+        self.pending: list[_Pending] = []
         self.status = 0
         self.imprecision = 0
         self.recognised_count = 0
@@ -90,13 +91,13 @@ class Icu:
 
     def raise_event(self, event: Event, cycle: int) -> None:
         """Deliver an event from a retiring trapping instruction."""
-        self._pending.append(_Pending(event, cycle))
+        self.pending.append(_Pending(event, cycle))
 
     @property
     def pending_vector(self) -> int:
         """Bitmask of raw (unmapped) pending event lines."""
         vector = 0
-        for entry in self._pending:
+        for entry in self.pending:
             vector |= 1 << int(entry.event)
         return vector
 
@@ -105,17 +106,17 @@ class Icu:
 
         Returns the recognition performed this cycle, if any.
         """
-        if not self._pending:
+        if not self.pending:
             return None
-        for entry in self._pending:
+        for entry in self.pending:
             entry.retired_after += retired_this_cycle
             entry.wait_cycles += 1
-        head = self._pending[0]
+        head = self.pending[0]
         bubble = retired_this_cycle < 2
         if not bubble and head.wait_cycles < self.config.max_wait:
             return None
-        recognised = self._pending
-        self._pending = []
+        recognised = self.pending
+        self.pending = []
         bits = 0
         for entry in recognised:
             bits |= 1 << self.map_event(entry.event)

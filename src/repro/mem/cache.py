@@ -160,6 +160,10 @@ class Cache:
     def lookup(self, address: int) -> bool:
         """Hit test that records one access in the statistics."""
         hit = self._find(address) is not None
+        self._count(address, hit)
+        return hit
+
+    def _count(self, address: int, hit: bool) -> None:
         if hit:
             self.stats.hits += 1
         else:
@@ -172,7 +176,6 @@ class Cache:
                 cache=self.config.name,
                 address=address,
             )
-        return hit
 
     def read(self, address: int, width: int = 4) -> int:
         """Read a word or byte that must currently hit."""
@@ -190,13 +193,13 @@ class Cache:
             return (word >> (8 * (address & 3))) & 0xFF
         raise MemoryError_(f"unsupported access width {width}")
 
-    def read_words(self, address: int, count: int) -> list[int]:
-        """Read ``count`` consecutive words of one resident line."""
+    def lookup_words(self, address: int, count: int) -> list[int] | None:
+        """:meth:`lookup` ``address``; on a hit read ``count`` consecutive
+        words of its line (one line search for both), on a miss None."""
         location = self._find(address)
+        self._count(address, location is not None)
         if location is None:
-            raise MemoryError_(
-                f"{self.config.name}: read of {address:#010x} is not resident"
-            )
+            return None
         set_index, way, word_index = location
         self._touch(set_index, way)
         words = self._sets[set_index][way].words[word_index:word_index + count]

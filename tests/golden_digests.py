@@ -42,20 +42,21 @@ TIER1_CASES = (
 )
 
 
-def routine_builders(routine: str) -> dict:
+def routine_builders(routine: str, **sizes) -> dict:
     """Core id -> ``build(base_address)`` for one deployment of the
-    full-size forwarding routine (no performance counters)."""
+    forwarding routine (no performance counters); full-size unless
+    ``sizes`` passes ``patterns_per_path``/``load_use_blocks``."""
     from repro.core.tcm_wrapper import build_tcm_wrapped
     from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, forwarding_builders
     from repro.stl import RoutineContext
     from repro.stl.routines import make_forwarding_routine
 
     if routine == "wrapped":
-        return forwarding_builders()
+        return forwarding_builders(**sizes)
     builders = {}
     for core_id, model in DEFAULT_CAMPAIGN_MODELS.items():
         ctx = RoutineContext.for_core(core_id, model)
-        body = make_forwarding_routine(model, with_pcs=False)
+        body = make_forwarding_routine(model, with_pcs=False, **sizes)
         if routine == "unwrapped":
             builders[core_id] = body.builder_for(ctx)
         else:

@@ -34,15 +34,21 @@ def test_miss_then_hit():
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
-def test_read_words_matches_word_reads_within_one_line():
+def test_lookup_words_matches_lookup_then_word_reads():
     cache = Cache(SMALL)
     make_resident(cache, 0x40)
-    assert cache.read_words(0x48, 2) == [cache.read(0x48), cache.read(0x4C)]
-    assert cache.read_words(0x40, 8) == _fill_words(0x40)
+    assert cache.lookup_words(0x48, 2) == [cache.read(0x48), cache.read(0x4C)]
+    assert cache.lookup_words(0x40, 8) == _fill_words(0x40)
+    assert cache.lookup_words(0x80, 1) is None
     with pytest.raises(MemoryError_):
-        cache.read_words(0x5C, 2)  # the second word is in the next line
-    with pytest.raises(MemoryError_):
-        cache.read_words(0x80, 1)
+        cache.lookup_words(0x5C, 2)  # the second word is in the next line
+    # Each call counts one access, exactly as lookup() does.
+    assert (cache.stats.hits, cache.stats.misses) == (3, 1)
+    twin = Cache(SMALL)
+    make_resident(twin, 0x40)
+    for address in (0x48, 0x40, 0x80, 0x5C):
+        twin.lookup(address)
+    assert twin.stats == cache.stats
 
 
 def test_read_resident_word_and_byte():
